@@ -42,31 +42,30 @@ class Lexicon:
 EMPTY_LEXICON = Lexicon(())
 
 
-def load_lexicon(path: str) -> Lexicon:
-    """token<TAB>KEYWORD per line; # starts a comment."""
+def parse_lexicon(lines, source: str) -> Lexicon:
+    """token<TAB>KEYWORD per line; # starts a comment. Errors name `source`
+    and the line."""
     pairs = []
-    with open(path, encoding="utf-8") as f:
-        for i, line in enumerate(f):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise LexiconError(f"{path}: line {i + 1}: expected 'token<TAB>KEYWORD'")
-            pairs.append((parts[0].strip().lower(), parts[1].strip()))
+    for i, line in enumerate(lines):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise LexiconError(f"{source}: line {i + 1}: expected 'token<TAB>KEYWORD'")
+        pairs.append((parts[0].strip().lower(), parts[1].strip()))
     return Lexicon(tuple(pairs))
+
+
+def load_lexicon(path: str) -> Lexicon:
+    with open(path, encoding="utf-8") as f:
+        return parse_lexicon(f, path)
 
 
 def default_lexicon() -> Lexicon:
     """The packaged lexicon: generic superlatives, comparators and negators."""
-    text = resources.files("denoparse").joinpath("data/lexicon.txt").read_text("utf-8")
-    pairs = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tok, kw = line.split("\t")
-            pairs.append((tok.strip().lower(), kw.strip()))
-    return Lexicon(tuple(pairs))
+    data = resources.files("denoparse").joinpath("data/lexicon.txt")
+    return parse_lexicon(data.read_text("utf-8").splitlines(), "denoparse/data/lexicon.txt")
 
 
 def match_score(question_tokens, program: ProgramState, table: Table) -> float:

@@ -9,9 +9,19 @@ starting row set to the rows of the previous answer; FPCELL reads another
 column of a single-cell previous answer. Partial states execute all of
 their completed clauses, which is what gives incomplete programs a reward
 during search.
+
+The grammar is written once, as the table GRAMMAR from each phase of a
+partial program to the kinds legal in it and the phase each leads to.
+`legal_actions`, `enumerate_programs` and the beam search read it, and
+the fewest actions still needed to reach Stop are derived from it.
+Execution is written once too: `step` advances an execution state by one
+action, `answer_values`/`answer` project a state onto the answer, and
+`execute` is a fold of `step`. The search calls the same `step` for every
+child it rates, with one ExecContext per search.
 """
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -35,7 +45,6 @@ STOP = "STOP"
 
 HEAD_KINDS = (SELECT, FOLLOWUP, FPCELL)
 CONDITION_KINDS = (EQ, NEQ, GT, LT, MAX, MIN)
-COMPARISON_KINDS = (GT, LT)
 
 _OP_TOKEN = {EQ: "=", NEQ: "!=", GT: ">", LT: "<", MAX: "MAX", MIN: "MIN"}
 _TOKEN_OP = {v: k for k, v in _OP_TOKEN.items()}
@@ -89,23 +98,59 @@ EMPTY_STATE = ProgramState()
 Program = ProgramState
 
 
-def _phase(state: ProgramState):
-    """(phase, cond_count, can_or) for a non-complete state."""
-    actions = state.actions
-    if not actions:
-        return "empty", 0, False
-    cond_count = sum(1 for a in actions if a.kind in CONDITION_KINDS)
-    last = actions[-1].kind
-    if last == OR:
-        return "or", cond_count, False
-    if last in CONDITION_KINDS:
-        can_or = len(actions) < 2 or actions[-2].kind != OR
-        return "cond", cond_count, can_or
-    if last == SELECT:
-        return "select_head", 0, False
-    if last == FOLLOWUP:
-        return "followup_head", 0, False
-    return "fpcell_head", 0, False
+# --- grammar ----------------------------------------------------------------
+
+# Each phase of a program under construction maps the kinds legal in it, in
+# the order legal_actions lists them, to the phase each leads to. CONDITION
+# stands for every condition kind. "cond" follows a condition that OR may
+# still join; "or" waits for the mandatory second arm; "or_arm" follows that
+# arm, which OR may not join again.
+CONDITION = "CONDITION"
+GRAMMAR = {
+    "empty": {SELECT: "select", FOLLOWUP: "followup", FPCELL: "fpcell"},
+    "select": {CONDITION: "cond", STOP: "complete"},
+    "followup": {CONDITION: "cond"},
+    "fpcell": {STOP: "complete"},
+    "cond": {CONDITION: "cond", OR: "or", STOP: "complete"},
+    "or": {CONDITION: "or_arm"},
+    "or_arm": {CONDITION: "cond", STOP: "complete"},
+    "complete": {},
+}
+# the same table keyed by action kind
+_NEXT = {phase: {k: nxt for group, nxt in row.items()
+                 for k in (CONDITION_KINDS if group == CONDITION else (group,))}
+         for phase, row in GRAMMAR.items()}
+
+
+def next_phase(phase: str, kind: str) -> str:
+    try:
+        return _NEXT[phase][kind]
+    except KeyError:
+        raise IllegalActionError(f"{kind} cannot follow a {phase!r} state") from None
+
+
+@lru_cache(maxsize=None)
+def min_finish(phase: str, conditions_left: int) -> float:
+    """Fewest actions that take a state in `phase` to Stop using at most
+    `conditions_left` more conditions; inf when none can. Every cycle of
+    the grammar takes a condition, so the recursion ends."""
+    if conditions_left < 0:
+        return math.inf
+    if phase == "complete":
+        return 0
+    return min((1 + min_finish(nxt, conditions_left - (kind == CONDITION))
+                for kind, nxt in GRAMMAR[phase].items()), default=math.inf)
+
+
+@lru_cache(maxsize=None)
+def legal_kinds(phase: str, conditions_left: int,
+                actions_left: float = math.inf) -> tuple[str, ...]:
+    """The kinds (CONDITION for any condition) legal in `phase`, in grammar
+    order: those after which Stop is still reachable within both budgets,
+    each budget counting the kind's own action."""
+    return tuple(kind for kind, nxt in GRAMMAR[phase].items()
+                 if min_finish(nxt, conditions_left - (kind == CONDITION))
+                 < actions_left)
 
 
 @lru_cache(maxsize=128)
@@ -151,30 +196,24 @@ def legal_actions(state: ProgramState, table: Table, position: int,
     condition already in the program cannot repeat."""
     if state.complete:
         return []
-    phase, cond_count, can_or = _phase(state)
-    if phase == "empty":
+    phase, used = "empty", set()
+    for a in state.actions:
+        phase = next_phase(phase, a.kind)
+        if a.kind in CONDITION_KINDS:
+            used.add(a)
+    # a shortest completion enters no phase twice, so a budget of more
+    # conditions than there are phases is as good as none
+    left = len(GRAMMAR) if max_conditions is None else max_conditions - len(used)
+    if phase == "empty":  # every head, whatever the condition budget
         return list(head_actions(table, position))
-    budget = max_conditions is None or cond_count < max_conditions
-    if budget:
-        used = {a for a in state.actions if a.kind in CONDITION_KINDS}
-        conds = [a for a in condition_actions(table, tuple(question_numbers))
-                 if a not in used]
-    else:
-        conds = []
-    if phase == "select_head":
-        return list(conds) + [Action(STOP)]
-    if phase == "followup_head":
-        return list(conds)
-    if phase == "fpcell_head":
-        return [Action(STOP)]
-    if phase == "cond":
-        out = list(conds)
-        if can_or and budget:
-            out.append(Action(OR))
-        out.append(Action(STOP))
-        return out
-    # phase == "or": the second arm of the disjunction is mandatory
-    return list(conds)
+    out: list[Action] = []
+    for kind in legal_kinds(phase, left):
+        if kind == CONDITION:
+            out += [a for a in condition_actions(table, tuple(question_numbers))
+                    if a not in used]
+        else:
+            out.append(Action(kind))
+    return out
 
 
 def apply_action(state: ProgramState, action: Action, table: Table | None = None,
@@ -360,58 +399,99 @@ def match_rows(action: Action, table: Table, rows: frozenset[int]) -> frozenset[
     return frozenset(r for v, r in numeric if v == pick)
 
 
-def execute(state: ProgramState, table: Table, prev_answer: AnswerSet | None = None) -> AnswerSet:
-    """Deterministic execution; partial states run their completed clauses."""
-    all_rows = frozenset(range(table.row_count))
-    head = None
-    base = rows = all_rows
-    or_first: frozenset[int] | None = None
-    for a in state.actions:
-        k = a.kind
-        if k == SELECT:
-            head = ("select", a.column)
-            base = rows = all_rows
-        elif k == FOLLOWUP:
-            if prev_answer is None:
-                raise ExecutionError("FOLLOWUP requires the previous answer")
-            coords = frozenset((r, c) for r, c in (prev_answer.coords or frozenset())
-                               if r < table.row_count and c < table.col_count)
-            head = ("followup", coords)
-            base = rows = frozenset(r for r, _ in coords)
-        elif k == FPCELL:
-            if prev_answer is None:
-                raise ExecutionError("FPCELL requires the previous answer")
-            coords = frozenset((r, c) for r, c in (prev_answer.coords or frozenset())
-                               if r < table.row_count and c < table.col_count)
-            picked = frozenset({next(iter(coords))[0]}) if len(coords) == 1 else frozenset()
-            head = ("fpcell", a.column)
-            base = rows = picked
-        elif k == OR:
-            or_first = rows
-        elif k in CONDITION_KINDS:
-            if or_first is not None:
-                rows = or_first | match_rows(a, table, base)
-                or_first = None
-            else:
-                base = rows
-                rows = match_rows(a, table, base)
-    surviving = base if or_first is not None else rows
+class ExecContext:
+    """What executing on one table after one previous answer needs, built
+    once: every row, the previous answer's cells clipped to the table (None
+    without a previous answer), their rows, and the row FPCELL reads.
+
+    An execution state is the tuple (phase, condition count, head, base,
+    rows): `head` is the head action, `rows` the rows the clauses so far
+    keep, and `base` the rows the latest clause filtered, which the second
+    arm of an OR filters too. While an OR waits for that arm, `rows` holds
+    the first arm's rows."""
+
+    __slots__ = ("table", "all_rows", "prev_coords", "prev_rows", "fp_rows",
+                 "start", "_condition_rows")
+
+    def __init__(self, table: Table, prev_answer: AnswerSet | None = None):
+        self.table = table
+        self.all_rows = frozenset(range(table.row_count))
+        self.prev_coords = None
+        self.prev_rows = self.fp_rows = frozenset()
+        if prev_answer is not None:
+            self.prev_coords = frozenset(
+                (r, c) for r, c in (prev_answer.coords or frozenset())
+                if r < table.row_count and c < table.col_count)
+            self.prev_rows = frozenset(r for r, _ in self.prev_coords)
+            if len(self.prev_coords) == 1:
+                self.fp_rows = frozenset({next(iter(self.prev_coords))[0]})
+        self.start = ("empty", 0, None, self.all_rows, self.all_rows)
+        # id(action) -> (action, rows of the whole table satisfying it); the
+        # stored action keeps its id from being reused while the entry lives
+        self._condition_rows: dict[int, tuple[Action, frozenset[int]]] = {}
+
+
+def step(ctx: ExecContext, state: tuple, action: Action) -> tuple:
+    """The execution state after `action`; see ExecContext."""
+    phase, count, head, base, rows = state
+    kind = action.kind
+    nxt = next_phase(phase, kind)
+    if kind in CONDITION_KINDS:
+        if phase != "or":
+            base = rows  # a fresh clause filters the survivors so far
+        if kind == MAX or kind == MIN:
+            sub = match_rows(action, ctx.table, base)
+        else:  # a fixed row set, narrowed to the clause's scope
+            hit = ctx._condition_rows.get(id(action))
+            if hit is None:
+                hit = ctx._condition_rows[id(action)] = (
+                    action, match_rows(action, ctx.table, ctx.all_rows))
+            sub = hit[1] & base
+        return nxt, count + 1, head, base, (rows | sub if phase == "or" else sub)
+    if kind == SELECT:
+        return nxt, count, action, ctx.all_rows, ctx.all_rows
+    if kind == FOLLOWUP or kind == FPCELL:
+        if ctx.prev_coords is None:
+            raise ExecutionError(f"{kind} requires the previous answer")
+        rows = ctx.prev_rows if kind == FOLLOWUP else ctx.fp_rows
+        return nxt, count, action, rows, rows
+    return nxt, count, head, base, rows  # OR and Stop keep the rows
+
+
+def answer_values(ctx: ExecContext, state: tuple) -> frozenset[str]:
+    """Normalized values of a state's answer: the head's cells in the rows
+    kept so far. A trailing open OR clause has not run, so its scope stays."""
+    phase, _, head, base, rows = state
+    if phase == "or":
+        rows = base
+    norm = ctx.table.normalized_column_values
+    if head.kind == FOLLOWUP:
+        return frozenset(norm[c][r] for r, c in ctx.prev_coords if r in rows)
+    col = norm[head.column]
+    return frozenset(col[r] for r in rows)
+
+
+def answer(ctx: ExecContext, state: tuple) -> AnswerSet:
+    """A state's answer, with the cells its values come from."""
+    phase, _, head, base, rows = state
     if head is None:
         return EMPTY_ANSWER
-    return _project(head, surviving, table)
-
-
-def _project(head, rows: frozenset[int], table: Table) -> AnswerSet:
-    kind = head[0]
-    norm = table.normalized_column_values
-    if kind == "select" or kind == "fpcell":
-        col = head[1]
-        coords = frozenset((r, col) for r in rows)
+    if phase == "or":
+        rows = base
+    if head.kind == FOLLOWUP:
+        coords = frozenset(rc for rc in ctx.prev_coords if rc[0] in rows)
     else:
-        coords = frozenset((r, c) for r, c in head[1]
-                           if r in rows and r < table.row_count and c < table.col_count)
-    values = frozenset(norm[c][r] for r, c in coords)
-    return AnswerSet(values, coords)
+        coords = frozenset((r, head.column) for r in rows)
+    return AnswerSet(answer_values(ctx, state), coords)
+
+
+def execute(state: ProgramState, table: Table, prev_answer: AnswerSet | None = None) -> AnswerSet:
+    """Deterministic execution; partial states run their completed clauses."""
+    ctx = ExecContext(table, prev_answer)
+    s = ctx.start
+    for a in state.actions:
+        s = step(ctx, s, a)
+    return answer(ctx, s)
 
 
 # --- enumeration and spuriousness ---------------------------------------

@@ -11,8 +11,12 @@ pool; stored scores and rewards are never shaped.
 
 Completed programs leave the beam and accumulate into the candidate set,
 so a beam at least as wide as the program space collects the whole space.
-Scores, rewards and critique values are maintained incrementally per
-child; tests cross-check them against the direct featurize/execute path.
+Scores and critique values are maintained incrementally per child; tests
+cross-check them against the direct featurize/critique path. Legality and
+execution are not copied here: a state's legal kinds come from
+`programs.legal_kinds`, which reads the grammar table and prunes children
+that cannot reach Stop within the action and condition budgets, and its
+rows come from `programs.step` over one `programs.ExecContext` per search.
 
 Children are ranked before they are built. Expanding a state computes,
 for each legal action, only what the rank key reads: the score from the
@@ -33,8 +37,6 @@ from .critique import EMPTY_LEXICON, Lexicon
 from .scorer import (RECALL_FEATURE, ParamVector, action_features,
                      question_table_tokens)
 from .tables import AnswerSet, Example, Table, exact_match
-
-_EMPTY = frozenset()
 
 
 @dataclass
@@ -99,19 +101,12 @@ def rank_key(serialization: str, reward: float, score: float, critique: float,
 
 
 class _Hyp:
-    __slots__ = ("actions", "ser", "last_or", "phase", "cond_count", "can_or",
-                 "used", "head", "base", "rows", "or_first", "score",
-                 "covered", "nonkw", "present", "keywords", "cooccur",
-                 "reward", "critique")
+    __slots__ = ("actions", "ser", "state", "used", "score", "covered", "nonkw",
+                 "present", "keywords", "cooccur", "reward", "critique")
 
     def __init__(self, **kw):
         for k, v in kw.items():
             setattr(self, k, v)
-
-
-# minimum number of further actions needed to reach Stop from a phase
-_MIN_FINISH = {"select_head": 1, "followup_head": 2, "fpcell_head": 1,
-               "cond": 1, "or": 2}
 
 
 def beam_search(example: Example, table: Table, theta: ParamVector,
@@ -133,26 +128,13 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
     use_reward = config.lambda_weight != 0.0 and gold is not None
     gold_values = gold.values if gold is not None else None
 
-    all_rows = frozenset(range(table.row_count))
-    col_norm = table.normalized_column_values
-    if prev_answer is not None:
-        prev_coords = frozenset((r, c) for r, c in (prev_answer.coords or _EMPTY)
-                                if r < table.row_count and c < table.col_count)
-        prev_rows = frozenset(r for r, _ in prev_coords)
-        fp_rows = (frozenset({next(iter(prev_coords))[0]})
-                   if len(prev_coords) == 1 else _EMPTY)
-    else:
-        prev_coords = _EMPTY
-        prev_rows = fp_rows = _EMPTY
+    ctx = P.ExecContext(table, prev_answer)
 
     # lexicon pairs whose question side fires, bucketed by keyword
     kw_weight: dict[str, int] = {}
     for tok, kw in lexicon.pairs:
         if tok in qset:
             kw_weight[kw] = kw_weight.get(kw, 0) + 1
-
-    heads = P.head_actions(table, position)
-    conds = P.condition_actions(table, tuple(qnumbers))
 
     # token and keyword sets are int bitmasks over this search's vocabulary
     token_bit: dict[str, int] = {}
@@ -165,7 +147,7 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
 
     class _Pre:
         __slots__ = ("action", "bit", "dot", "surf_nonkw", "surf_present",
-                     "surf_e1", "keywords", "kw_weights", "pred", "tokens",
+                     "surf_e1", "keywords", "kw_weights", "tokens",
                      "tokens_after_or")
 
     def prepare(action: P.Action, bit: int = 0) -> _Pre:
@@ -181,94 +163,41 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
         pre.keywords = mask(keywords)
         pre.kw_weights = tuple((mask((x,)), kw_weight[x]) for x in keywords
                                if x in kw_weight)
-        pre.pred = None  # rows of a non-extremum condition, built on first use
         pre.tokens = " ".join(P.action_tokens(action, table, after_or=False))
         pre.tokens_after_or = " ".join(P.action_tokens(action, table, after_or=True))
         return pre
 
-    pre_heads = [prepare(a) for a in heads]
-    pre_conds = [prepare(a, 1 << i) for i, a in enumerate(conds)]
-    pre_or = prepare(P.Action(P.OR))
+    # the prepared actions each kind of the grammar stands for, in order
+    heads = P.head_actions(table, position)
+    pre_kind = {k: [prepare(a) for a in heads if a.kind == k] for k in P.HEAD_KINDS}
+    pre_kind[P.CONDITION] = [prepare(a, 1 << i) for i, a in
+                             enumerate(P.condition_actions(table, tuple(qnumbers)))]
+    pre_kind[P.OR] = [prepare(P.Action(P.OR))]
     pre_stop = prepare(P.Action(P.STOP))
+    pre_kind[P.STOP] = [pre_stop]
 
-    def partial_reward(head, base, rows, or_first) -> float:
+    def partial_reward(state) -> float:
         """Jaccard of a state's partial execution against the gold answer."""
-        rows = base if or_first is not None else rows  # an open OR keeps base
-        if head[0] == "followup":
-            values = frozenset(col_norm[c][r] for r, c in head[1] if r in rows)
-        else:
-            values = frozenset(col_norm[head[1]][r] for r in rows)
+        values = P.answer_values(ctx, state)
         if not values and not gold_values:
             return 1.0
         inter = len(values & gold_values)
         return inter / (len(values) + len(gold_values) - inter)
 
-    root = _Hyp(actions=(), ser="", last_or=False, phase="empty", cond_count=0,
-                can_or=False, used=0, head=None, base=all_rows,
-                rows=all_rows, or_first=None,
+    root = _Hyp(actions=(), ser="", state=ctx.start, used=0,
                 score=(w_recall if e1_len else 0.0), covered=0,
                 nonkw=0, present=0, keywords=0, cooccur=0,
                 reward=0.0, critique=0.0)
 
     def legal(hyp: _Hyp) -> list[_Pre]:
         """The prepared actions that extend hyp, in grammar order."""
-        remaining = config.max_actions - len(hyp.actions)
-        phase = hyp.phase
-        if phase == "empty":
-            out = []
-            for pre in pre_heads:
-                k = pre.action.kind
-                need = 1 + _MIN_FINISH["followup_head" if k == P.FOLLOWUP
-                                       else "select_head" if k == P.SELECT
-                                       else "fpcell_head"]
-                if need <= remaining and (k != P.FOLLOWUP or config.max_conditions >= 1):
-                    out.append(pre)
-            return out
-        out = [pre_stop] if phase in ("select_head", "cond", "fpcell_head") else []
-        if phase == "fpcell_head":
-            return out
-        budget = hyp.cond_count < config.max_conditions
-        if budget and 1 + _MIN_FINISH["cond"] <= remaining:
-            used = hyp.used
-            out += [pre for pre in pre_conds if not used & pre.bit]
-        if phase == "cond" and hyp.can_or and budget and 1 + _MIN_FINISH["or"] <= remaining:
-            out.append(pre_or)
+        phase, cond_count = hyp.state[:2]
+        used = hyp.used
+        out = []
+        for kind in P.legal_kinds(phase, config.max_conditions - cond_count,
+                                  config.max_actions - len(hyp.actions)):
+            out += [pre for pre in pre_kind[kind] if not used & pre.bit]
         return out
-
-    def child_state(hyp: _Hyp, pre: _Pre):
-        """(phase, cond_count, can_or, head, base, rows, or_first) of the child."""
-        a = pre.action
-        k = a.kind
-        head, base, rows, or_first = hyp.head, hyp.base, hyp.rows, hyp.or_first
-        cond_count, can_or = hyp.cond_count, hyp.can_or
-        if k == P.SELECT:
-            head, base, rows, phase = ("select", a.column), all_rows, all_rows, "select_head"
-        elif k == P.FOLLOWUP:
-            head, base, rows, phase = ("followup", prev_coords), prev_rows, prev_rows, "followup_head"
-        elif k == P.FPCELL:
-            head, base, rows, phase = ("fpcell", a.column), fp_rows, fp_rows, "fpcell_head"
-        elif k == P.OR:
-            or_first, phase, can_or = rows, "or", False
-        elif k in P.CONDITION_KINDS:
-            if or_first is None:
-                base = rows  # a fresh clause filters the survivors so far
-            if k == P.MAX or k == P.MIN:
-                sub = P.match_rows(a, table, base)
-            else:
-                if pre.pred is None:
-                    pre.pred = P.match_rows(a, table, all_rows)
-                sub = pre.pred & base
-            if or_first is not None:
-                rows = or_first | sub
-                or_first, can_or = None, False
-            else:
-                rows = sub
-                can_or = True
-            cond_count += 1
-            phase = "cond"
-        else:  # STOP
-            phase = "complete"
-        return phase, cond_count, can_or, head, base, rows, or_first
 
     # A child is ranked from its parts: score, serialization and critique
     # bookkeeping, plus its partial reward when the key uses one. The full
@@ -280,7 +209,8 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
         completed children go straight to the pool."""
         h_score, h_ser, h_covered = hyp.score, hyp.ser, hyp.covered
         h_nonkw, h_present, h_keywords = hyp.nonkw, hyp.present, hyp.keywords
-        last_or = hyp.last_or
+        h_state = hyp.state
+        last_or = h_state[0] == "or"
         for pre in legal(hyp):
             new_e1 = pre.surf_e1 & ~h_covered
             score = h_score + pre.dot
@@ -300,21 +230,19 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
             if pre is pre_stop:
                 finalize(make_child(parts))
                 continue
-            reward = (partial_reward(*child_state(hyp, pre)[3:])
+            reward = (partial_reward(P.step(ctx, h_state, pre.action))
                       if use_reward else 0.0)
             keys.append(rank_key(ser, reward, score, critique, config))
             pending.append(parts)
 
     def make_child(parts) -> _Hyp:
         hyp, pre, score, ser, covered, nonkw, present, cooccur, critique = parts
-        phase, cond_count, can_or, head, base, rows, or_first = child_state(hyp, pre)
+        state = P.step(ctx, hyp.state, pre.action)
         reward = 0.0
-        if (use_reward or phase == "complete") and gold_values is not None:
-            reward = partial_reward(head, base, rows, or_first)
-        return _Hyp(actions=hyp.actions + (pre.action,), ser=ser,
-                    last_or=(pre is pre_or), phase=phase, cond_count=cond_count,
-                    can_or=can_or, used=hyp.used | pre.bit, head=head, base=base,
-                    rows=rows, or_first=or_first, score=score, covered=covered,
+        if (use_reward or pre is pre_stop) and gold_values is not None:
+            reward = partial_reward(state)
+        return _Hyp(actions=hyp.actions + (pre.action,), ser=ser, state=state,
+                    used=hyp.used | pre.bit, score=score, covered=covered,
                     nonkw=nonkw, present=present,
                     keywords=hyp.keywords | pre.keywords, cooccur=cooccur,
                     reward=reward, critique=critique)
@@ -325,13 +253,7 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
         if hyp.ser in pool:
             return
         program = P.ProgramState(hyp.actions, True)
-        rows = hyp.rows
-        if hyp.head[0] == "followup":
-            coords = frozenset((r, c) for r, c in hyp.head[1] if r in rows)
-            answer = AnswerSet(frozenset(col_norm[c][r] for r, c in coords), coords)
-        else:
-            coords = frozenset((r, hyp.head[1]) for r in rows)
-            answer = AnswerSet(frozenset(col_norm[hyp.head[1]][r] for r in rows), coords)
+        answer = P.answer(ctx, hyp.state)
         compatible = gold is not None and exact_match(answer, gold)
         pool[hyp.ser] = Candidate(program, hyp.ser, hyp.score, hyp.reward,
                                   hyp.critique, compatible, answer)

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 
 from .scorer import FeatureVector, ParamVector, featurize, softmax
-from .search import Candidate, CandidateSet
+from .search import CandidateSet
 from .tables import AnswerSet, Table, jaccard
 from .programs import Program, execute
 
@@ -190,11 +190,6 @@ def reference_index(ctx: UpdateContext) -> int | None:
                 and ctx.K.entries[i].serialization < ctx.K.entries[best].serialization):
             best = i
     return best
-
-
-def reference_program(K: CandidateSet, ctx: UpdateContext) -> Candidate | None:
-    i = reference_index(ctx)
-    return None if i is None else K.entries[i]
 
 
 def violation_indices(ctx: UpdateContext, ref: int) -> list[int]:

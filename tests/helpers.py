@@ -50,6 +50,8 @@ def oracle_execute(program: P.Program, table: Table,
     k = 0
     while k < len(rest):
         if k + 1 < len(rest) and rest[k + 1].kind == P.OR:
+            if k + 2 == len(rest):
+                break  # a trailing open OR clause has not run yet
             clauses.append([rest[k], rest[k + 2]])
             k += 3
         else:
@@ -106,12 +108,14 @@ def reference_beam_search(example, table: Table, theta: ParamVector, lexicon,
     """Eager beam search: build every legal child of every beam state, move
     completed programs to the pool, keep the beam_size best of the rest.
 
-    Children come from `P.legal_actions`, answers from `P.execute`,
-    critiques from `critique_score` and ranking from `rank_key`. A score
-    is the parent's plus the action's feature dot product, less the
-    recall weight times the share of the question's table tokens the
-    action newly covers: `featurize` summed action by action, which is
-    the order the search adds it in, so equal scores stay equal.
+    Children come from `P.legal_actions`, answers and rewards from
+    `oracle_execute` (so partial states run apart from the package's
+    executor), critiques from `critique_score` and ranking from
+    `rank_key`. A score is the parent's plus the action's feature dot
+    product, less the recall weight times the share of the question's
+    table tokens the action newly covers: `featurize` summed action by
+    action, which is the order the search adds it in, so equal scores
+    stay equal.
     """
     q = example.question_tokens
     numbers = tuple(example.question_numbers)
@@ -128,7 +132,7 @@ def reference_beam_search(example, table: Table, theta: ParamVector, lexicon,
     def reward(state):
         if gold is None:
             return 0.0
-        return jaccard(P.execute(state, table, prev), gold)
+        return jaccard(oracle_execute(state, table, prev), gold)
 
     beam = [(P.EMPTY_STATE, w_recall if e1 else 0.0)]
     pool: dict[str, Candidate] = {}
@@ -148,7 +152,7 @@ def reference_beam_search(example, table: Table, theta: ParamVector, lexicon,
                     s -= w_recall * (k / len(e1))
                 crit = critique_score(q, child, table, lexicon)
                 if child.complete:
-                    answer = P.execute(child, table, prev)
+                    answer = oracle_execute(child, table, prev)
                     pool.setdefault(ser(child), Candidate(
                         child, ser(child), s, reward(child), crit,
                         gold is not None and exact_match(answer, gold), answer))

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from denoparse import programs as P
 from denoparse.critique import (EMPTY_LEXICON, Lexicon, LexiconError, ShapingError,
                                 co_occur_score, critique_policy, critique_score,
-                                default_lexicon, load_lexicon, match_score, shape)
+                                default_lexicon, load_lexicon, match_score, parse_lexicon,
+                                shape)
 from denoparse.text import tokenize
 
 from conftest import make_table
@@ -148,6 +149,9 @@ def test_lexicon_errors(tmp_path):
     path.write_text("most MAX\n")
     with pytest.raises(LexiconError, match="line 1"):
         load_lexicon(str(path))
+    # the packaged lexicon goes through the same parser
+    with pytest.raises(LexiconError, match="packaged: line 2"):
+        parse_lexicon(["most\tMAX", "least MIN"], "packaged")
     with pytest.raises(LexiconError, match="unknown program keyword"):
         Lexicon((("most", "BOGUS"),))
     with pytest.raises(LexiconError, match="duplicate"):

@@ -48,14 +48,31 @@ def test_rank_key_shaping_adds_critique_term():
     assert rank_key("b", 1.0, 0.0, 1.0, cfg) < rank_key("a", 1.0, 2.0, 0.0, cfg)
 
 
-def test_beam_covers_program_space(squad_table):
+def test_beam_covers_program_space(squad_table, club_table):
     ex = example_for(squad_table, "which nation scored 21 points?", ["England"],
                      coords={(0, 1)})
-    space = P.enumerate_programs(squad_table, 0, 1, ex.question_numbers)
-    K = beam_search(ex, squad_table, ParamVector(), None,
-                    full_space_config(len(space)))
-    assert sorted(c.serialization for c in K) == \
-        sorted(P.serialize(p, squad_table) for p in space)
+    cases = [(ex, squad_table, None, 1, 5)]
+    # every position, condition budget and action budget on a small table
+    # pins the fewest actions each phase needs to reach Stop: a FOLLOWUP
+    # with no condition allowed, an OR that needs two more actions
+    prev = AnswerSet.from_texts(["Saracens"], coords={(1, 0)})
+    for position in (0, 1):
+        ex = example_for(club_table, "which club lost more than 20?", ["Harlequins"],
+                         coords={(0, 0)}, position=position)
+        for max_conditions in (0, 1, 2):
+            for max_actions in range(2, 7):
+                cases.append((ex, club_table, prev if position else None,
+                              max_conditions, max_actions))
+    for ex, table, prev, max_conditions, max_actions in cases:
+        space = [p for p in P.enumerate_programs(table, ex.position, max_conditions,
+                                                 ex.question_numbers)
+                 if len(p.actions) <= max_actions]
+        K = beam_search(ex, table, ParamVector(), None,
+                        full_space_config(len(space), max_actions=max_actions,
+                                          max_conditions=max_conditions), prev)
+        assert sorted(c.serialization for c in K) == \
+            sorted(P.serialize(p, table) for p in space), \
+            (ex.position, max_conditions, max_actions)
 
 
 def test_zero_theta_orders_by_reward_then_serialization(squad_table):
@@ -221,11 +238,13 @@ def test_narrow_beams_match_eager_reference():
     # a recall weight at which w * (k / 3) and w * k / 3 round apart, so
     # the recall term's float order shows in the scores
     theta.weights["recall"] = -2.5
-    for beam in (2, 3, 6):
+    # five actions leave room for an OR, so open OR clauses are rewarded
+    for beam, max_actions in ((2, 4), (3, 4), (6, 4), (3, 5)):
         for lam in (0.0, 1.0, math.inf):
             for shaping in (False, True):
-                cfg = SearchConfig(beam_size=beam, max_actions=4, max_conditions=2,
-                                   lambda_weight=lam, shaping_enabled=shaping)
+                cfg = SearchConfig(beam_size=beam, max_actions=max_actions,
+                                   max_conditions=2, lambda_weight=lam,
+                                   shaping_enabled=shaping)
                 for ex, table, prev in cases:
                     got = beam_search(ex, table, theta, lex, cfg, prev)
                     want = reference_beam_search(ex, table, theta, lex, cfg, prev)

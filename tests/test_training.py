@@ -216,7 +216,10 @@ def test_training_is_deterministic_across_hash_seeds(tmp_path):
     outs = []
     for hash_seed in ("1", "9001"):
         out = tmp_path / f"model{hash_seed}.tsv"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        # the child imports the package from where this process does, so
+        # the test also runs from a checkout with no install
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(_sys.path))
         subprocess.run([_sys.executable, str(script), str(out)], check=True,
                        env=env, capture_output=True)
         outs.append(out.read_text())
