@@ -28,15 +28,21 @@ class Lexicon:
 
     def __post_init__(self):
         seen = set()
-        for tok, kw in self.pairs:
-            if kw not in KEYWORD_TOKENS:
-                raise LexiconError(f"unknown program keyword {kw!r} for token {tok!r}")
-            if (tok, kw) in seen:
-                raise LexiconError(f"duplicate lexicon pair ({tok!r}, {kw!r})")
-            seen.add((tok, kw))
+        for pair in self.pairs:
+            _check_pair(pair, seen)
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+
+def _check_pair(pair: tuple[str, str], seen: set) -> None:
+    """Reject an unknown keyword or a pair already in `seen`, then add it."""
+    tok, kw = pair
+    if kw not in KEYWORD_TOKENS:
+        raise LexiconError(f"unknown program keyword {kw!r} for token {tok!r}")
+    if pair in seen:
+        raise LexiconError(f"duplicate lexicon pair ({tok!r}, {kw!r})")
+    seen.add(pair)
 
 
 EMPTY_LEXICON = Lexicon(())
@@ -45,15 +51,20 @@ EMPTY_LEXICON = Lexicon(())
 def parse_lexicon(lines, source: str) -> Lexicon:
     """token<TAB>KEYWORD per line; # starts a comment. Errors name `source`
     and the line."""
-    pairs = []
+    pairs, seen = [], set()
     for i, line in enumerate(lines):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split("\t")
-        if len(parts) != 2:
-            raise LexiconError(f"{source}: line {i + 1}: expected 'token<TAB>KEYWORD'")
-        pairs.append((parts[0].strip().lower(), parts[1].strip()))
+        try:
+            if len(parts) != 2:
+                raise LexiconError("expected 'token<TAB>KEYWORD'")
+            pair = (parts[0].strip().lower(), parts[1].strip())
+            _check_pair(pair, seen)
+        except LexiconError as e:
+            raise LexiconError(f"{source}: line {i + 1}: {e}") from None
+        pairs.append(pair)
     return Lexicon(tuple(pairs))
 
 

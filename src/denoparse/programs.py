@@ -192,8 +192,9 @@ def legal_actions(state: ProgramState, table: Table, position: int,
                   question_numbers: tuple[str, ...] = ()) -> list[Action]:
     """Exactly the actions whose application keeps the state syntactically
     valid. FOLLOWUP and FPCELL exist only at position >= 1; an empty program
-    cannot Stop; FOLLOWUP needs at least one condition before Stop; a
-    condition already in the program cannot repeat."""
+    cannot Stop; FOLLOWUP needs at least one condition before Stop, so it is
+    not listed when the condition budget is spent; a condition already in
+    the program cannot repeat."""
     if state.complete:
         return []
     phase, used = "empty", set()
@@ -204,10 +205,11 @@ def legal_actions(state: ProgramState, table: Table, position: int,
     # a shortest completion enters no phase twice, so a budget of more
     # conditions than there are phases is as good as none
     left = len(GRAMMAR) if max_conditions is None else max_conditions - len(used)
-    if phase == "empty":  # every head, whatever the condition budget
-        return list(head_actions(table, position))
+    kinds = legal_kinds(phase, left)
+    if phase == "empty":
+        return [a for a in head_actions(table, position) if a.kind in kinds]
     out: list[Action] = []
-    for kind in legal_kinds(phase, left):
+    for kind in kinds:
         if kind == CONDITION:
             out += [a for a in condition_actions(table, tuple(question_numbers))
                     if a not in used]

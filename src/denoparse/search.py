@@ -18,13 +18,20 @@ execution are not copied here: a state's legal kinds come from
 that cannot reach Stop within the action and condition budgets, and its
 rows come from `programs.step` over one `programs.ExecContext` per search.
 
-Children are ranked before they are built. Expanding a state computes,
-for each legal action, only what the rank key reads: the score from the
-action's precomputed feature dot product and the recall term, the
-critique from token bitmasks, the partial reward only when lambda is not
-0, and the serialization for the tie-break. Of the thousands of children
-a search ranks, only the beam_size survivors of each step and the
-completed programs become full states with executed row sets.
+Children are ranked before they are built. Expanding a state gives each
+legal child a numeric rank value, `rank_key` without its serialization
+tie-break: the score from the action's precomputed feature dot product
+and the recall term, the critique from token bitmasks only when shaping
+puts it in the key, and the partial reward only when lambda is not 0.
+`heapq.nsmallest` finds the beam_size-th smallest value; every child at
+or below it stays in the running, so children tied at the cut are then
+told apart by serialization, which is built only for them. Sorting those
+on (value, serialization) and keeping beam_size of them gives the same
+survivors in the same order as sorting every child on `rank_key`. Only
+the survivors of each step and the completed programs become full
+states: `make_child` derives the serialization, token masks, critique,
+execution state and reward from the parent and the action, and an
+action's serialization tokens are joined the first time one is needed.
 """
 from __future__ import annotations
 
@@ -90,14 +97,20 @@ class CandidateSet:
         return bool(self.entries)
 
 
+def rank_value(reward: float, score: float, critique: float, config: SearchConfig):
+    """`rank_key` without its serialization tie-break: a float, or a pair
+    at lambda = inf. The critique is read only when shaping is enabled."""
+    s = score + config.eta * critique if config.shaping_enabled else score
+    if config.lambda_weight == math.inf:
+        return (-reward, -s)
+    return -(config.lambda_weight * reward + s)
+
+
 def rank_key(serialization: str, reward: float, score: float, critique: float,
              config: SearchConfig):
     """Sort key: ascending sort yields the declared descending-numeric,
     ascending-serialization order."""
-    s = score + config.eta * critique if config.shaping_enabled else score
-    if config.lambda_weight == math.inf:
-        return (-reward, -s, serialization)
-    return (-(config.lambda_weight * reward + s), serialization)
+    return (rank_value(reward, score, critique, config), serialization)
 
 
 class _Hyp:
@@ -126,6 +139,7 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
     e1_len = len(e1)
     w_recall = theta.get(RECALL_FEATURE)
     use_reward = config.lambda_weight != 0.0 and gold is not None
+    shaping = config.shaping_enabled
     gold_values = gold.values if gold is not None else None
 
     ctx = P.ExecContext(table, prev_answer)
@@ -147,8 +161,7 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
 
     class _Pre:
         __slots__ = ("action", "bit", "dot", "surf_nonkw", "surf_present",
-                     "surf_e1", "keywords", "kw_weights", "tokens",
-                     "tokens_after_or")
+                     "surf_e1", "keywords", "kw_weights", "tokens")
 
     def prepare(action: P.Action, bit: int = 0) -> _Pre:
         pre = _Pre()
@@ -163,8 +176,7 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
         pre.keywords = mask(keywords)
         pre.kw_weights = tuple((mask((x,)), kw_weight[x]) for x in keywords
                                if x in kw_weight)
-        pre.tokens = " ".join(P.action_tokens(action, table, after_or=False))
-        pre.tokens_after_or = " ".join(P.action_tokens(action, table, after_or=True))
+        pre.tokens = [None, None]  # serialization tokens [not after OR, after OR]
         return pre
 
     # the prepared actions each kind of the grammar stands for, in order
@@ -199,51 +211,55 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
             out += [pre for pre in pre_kind[kind] if not used & pre.bit]
         return out
 
-    # A child is ranked from its parts: score, serialization and critique
-    # bookkeeping, plus its partial reward when the key uses one. The full
-    # _Hyp is built only for the beam_size survivors and for completed
-    # programs, from the same parts, so the two paths agree bit for bit.
+    def serialize(hyp: _Hyp, pre: _Pre) -> str:
+        """The child's serialization; the action's tokens are joined on
+        first use."""
+        after_or = hyp.state[0] == "or"
+        tok = pre.tokens[after_or]
+        if tok is None:
+            tok = pre.tokens[after_or] = " ".join(
+                P.action_tokens(pre.action, table, after_or=after_or))
+        h_ser = hyp.ser
+        return h_ser + " " + tok if h_ser and tok else (h_ser or tok)
 
-    def expand(hyp: _Hyp, keys: list, pending: list) -> None:
-        """Append the rank key and parts of each incomplete child of hyp;
-        completed children go straight to the pool."""
-        h_score, h_ser, h_covered = hyp.score, hyp.ser, hyp.covered
-        h_nonkw, h_present, h_keywords = hyp.nonkw, hyp.present, hyp.keywords
-        h_state = hyp.state
-        last_or = h_state[0] == "or"
+    def critique_parts(hyp: _Hyp, pre: _Pre):
+        """(non-keyword tokens, those in the question, co-occurrence,
+        critique) of the child of hyp by pre."""
+        nonkw = hyp.nonkw | pre.surf_nonkw
+        present = hyp.present | pre.surf_present
+        cooccur = hyp.cooccur
+        if pre.kw_weights:
+            cooccur += sum(w for b, w in pre.kw_weights if not hyp.keywords & b)
+        n = nonkw.bit_count()
+        return nonkw, present, cooccur, (present.bit_count() / n if n else 0.0) + cooccur
+
+    def expand(hyp: _Hyp, values: list, pending: list) -> None:
+        """Append the rank value and (parent, action, score) of each
+        incomplete child of hyp; completed children go straight to the pool."""
+        h_score, h_covered, h_state = hyp.score, hyp.covered, hyp.state
         for pre in legal(hyp):
-            new_e1 = pre.surf_e1 & ~h_covered
             score = h_score + pre.dot
+            new_e1 = pre.surf_e1 & ~h_covered
             if new_e1:
                 score -= w_recall * (new_e1.bit_count() / e1_len)
-            tok = pre.tokens_after_or if last_or else pre.tokens
-            ser = h_ser + " " + tok if h_ser and tok else (h_ser or tok)
-            nonkw = h_nonkw | pre.surf_nonkw
-            present = h_present | pre.surf_present
-            cooccur = hyp.cooccur
-            if pre.kw_weights:
-                cooccur += sum(w for b, w in pre.kw_weights if not h_keywords & b)
-            n = nonkw.bit_count()
-            critique = (present.bit_count() / n if n else 0.0) + cooccur
-            parts = (hyp, pre, score, ser, h_covered | new_e1, nonkw, present,
-                     cooccur, critique)
             if pre is pre_stop:
-                finalize(make_child(parts))
+                finalize(make_child(hyp, pre, score))
                 continue
+            critique = critique_parts(hyp, pre)[3] if shaping else 0.0
             reward = (partial_reward(P.step(ctx, h_state, pre.action))
                       if use_reward else 0.0)
-            keys.append(rank_key(ser, reward, score, critique, config))
-            pending.append(parts)
+            values.append(rank_value(reward, score, critique, config))
+            pending.append((hyp, pre, score))
 
-    def make_child(parts) -> _Hyp:
-        hyp, pre, score, ser, covered, nonkw, present, cooccur, critique = parts
+    def make_child(hyp: _Hyp, pre: _Pre, score: float) -> _Hyp:
+        nonkw, present, cooccur, critique = critique_parts(hyp, pre)
         state = P.step(ctx, hyp.state, pre.action)
         reward = 0.0
         if (use_reward or pre is pre_stop) and gold_values is not None:
             reward = partial_reward(state)
-        return _Hyp(actions=hyp.actions + (pre.action,), ser=ser, state=state,
-                    used=hyp.used | pre.bit, score=score, covered=covered,
-                    nonkw=nonkw, present=present,
+        return _Hyp(actions=hyp.actions + (pre.action,), ser=serialize(hyp, pre),
+                    state=state, used=hyp.used | pre.bit, score=score,
+                    covered=hyp.covered | pre.surf_e1, nonkw=nonkw, present=present,
                     keywords=hyp.keywords | pre.keywords, cooccur=cooccur,
                     reward=reward, critique=critique)
 
@@ -258,23 +274,29 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
         pool[hyp.ser] = Candidate(program, hyp.ser, hyp.score, hyp.reward,
                                   hyp.critique, compatible, answer)
 
+    n = config.beam_size
     beam = [root]
     for _ in range(config.max_actions):
-        keys: list = []
+        values: list = []
         pending: list = []
         for hyp in beam:
-            expand(hyp, keys, pending)
+            expand(hyp, values, pending)
         if not pending:
             break
-        # nsmallest keeps equal keys in expansion order
-        best = heapq.nsmallest(config.beam_size, range(len(keys)), key=keys.__getitem__)
-        beam = [make_child(pending[i]) for i in best]
+        kept = range(len(values))
+        if len(values) > n:
+            # every child tied with the cut value stays in the running
+            cut = heapq.nsmallest(n, values)[-1]
+            kept = [i for i, v in enumerate(values) if v <= cut]
+        # the stable sort on (value, serialization) is the rank_key order
+        kept = sorted(kept, key=lambda i: (values[i], serialize(*pending[i][:2])))
+        beam = [make_child(*pending[i]) for i in kept[:n]]
 
     # the candidate set is one beam's worth of completed programs under the
     # final ranking, so shaping governs retention, not just order
     entries = sorted(pool.values(),
                      key=lambda c: rank_key(c.serialization, c.reward, c.score,
-                                            c.critique, config))[:config.beam_size]
+                                            c.critique, config))[:n]
     return CandidateSet(entries)
 
 

@@ -263,6 +263,10 @@ def intensity(spec: UpdateSpec, ctx: UpdateContext) -> tuple[list[float] | None,
             return w, res
         powered = [v ** beta for v in sub]
         z = sum(powered)
+        if z == 0.0:
+            raise NonFiniteUpdateError(
+                f"{spec.name} weights are undefined: the model probability of "
+                "every compatible program underflows to 0")
         w = [0.0] * n
         for i, v in zip(comp, powered):
             w[i] = v / z

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -152,6 +153,15 @@ def test_lexicon_errors(tmp_path):
     # the packaged lexicon goes through the same parser
     with pytest.raises(LexiconError, match="packaged: line 2"):
         parse_lexicon(["most\tMAX", "least MIN"], "packaged")
+    # the pair checks name the file and line too
+    path.write_text("# superlatives\nmost\tMAXX\n")
+    with pytest.raises(LexiconError,
+                       match=rf"^{re.escape(str(path))}: line 2: unknown program keyword 'MAXX'"):
+        load_lexicon(str(path))
+    path.write_text("most\tMAX\nleast\tMIN\nMost\tMAX\n")
+    with pytest.raises(LexiconError,
+                       match=rf"^{re.escape(str(path))}: line 3: duplicate lexicon pair"):
+        load_lexicon(str(path))
     with pytest.raises(LexiconError, match="unknown program keyword"):
         Lexicon((("most", "BOGUS"),))
     with pytest.raises(LexiconError, match="duplicate"):

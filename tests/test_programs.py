@@ -54,6 +54,21 @@ def test_followup_requires_a_condition(squad_table):
     assert acts  # conditions are offered
 
 
+def test_followup_needs_a_condition_budget(squad_table):
+    heads = [sel(0), sel(1), sel(2), P.Action(P.FOLLOWUP),
+             P.Action(P.FPCELL, 0), P.Action(P.FPCELL, 1), P.Action(P.FPCELL, 2)]
+    for budget in (None, 1, 2):
+        assert P.legal_actions(P.EMPTY_STATE, squad_table, 1, budget) == heads
+    acts = P.legal_actions(P.EMPTY_STATE, squad_table, 1, 0)
+    assert acts == [a for a in heads if a.kind != P.FOLLOWUP]
+    with pytest.raises(P.IllegalActionError):
+        P.apply_action(P.EMPTY_STATE, P.Action(P.FOLLOWUP), squad_table, 1, 0)
+    # nothing completed from FOLLOWUP at 0 conditions, so no program is lost
+    programs = P.enumerate_programs(squad_table, 1, 0)
+    assert len(programs) == 6
+    assert {a.kind for p in programs for a in p.actions} == {P.SELECT, P.FPCELL, P.STOP}
+
+
 def test_fpcell_takes_no_conditions(squad_table):
     state = P.EMPTY_STATE.child(P.Action(P.FPCELL, 2))
     assert P.legal_actions(state, squad_table, 1) == [P.Action(P.STOP)]

@@ -234,12 +234,17 @@ def test_narrow_beams_match_eager_reference():
                 table, ex.question_numbers) + (P.Action(P.OR), P.Action(P.STOP)):
             feats.update(action_features(a, ex.question_tokens, table))
     # a coarse weight grid makes exact score ties common
-    theta = ParamVector({f: rng.choice((-0.5, 0.0, 0.25, 1.0)) for f in sorted(feats)})
+    coarse = ParamVector({f: rng.choice((-0.5, 0.0, 0.25, 1.0)) for f in sorted(feats)})
     # a recall weight at which w * (k / 3) and w * k / 3 round apart, so
     # the recall term's float order shows in the scores
-    theta.weights["recall"] = -2.5
-    # five actions leave room for an OR, so open OR clauses are rewarded
-    for beam, max_actions in ((2, 4), (3, 4), (6, 4), (3, 5)):
+    coarse.weights["recall"] = -2.5
+    # five actions leave room for an OR, so open OR clauses are rewarded;
+    # under all-zero weights every score ties, so without a reward or a
+    # critique the serialization alone decides which children survive
+    zero = ParamVector()
+    for theta, beam, max_actions in ((coarse, 1, 4), (coarse, 2, 4), (coarse, 3, 4),
+                                     (coarse, 6, 4), (coarse, 3, 5), (zero, 1, 4),
+                                     (zero, 3, 5)):
         for lam in (0.0, 1.0, math.inf):
             for shaping in (False, True):
                 cfg = SearchConfig(beam_size=beam, max_actions=max_actions,

@@ -8,8 +8,8 @@ from denoparse.critique import default_lexicon
 from denoparse.scorer import ParamVector
 from denoparse.search import SearchConfig, beam_search
 from denoparse.tables import AnswerSet, Example
-from denoparse.training import (EpochStats, TrainConfig, TrainHistory, evaluate,
-                                split_sequences, spurious_audit, stability, train,
+from denoparse.training import (EpochStats, TrainConfig, TrainHistory, TrainingError,
+                                evaluate, split_sequences, spurious_audit, stability, train,
                                 _initial_theta)
 from denoparse.updates import generalized_update, make_context, parse_update_spec
 
@@ -154,6 +154,16 @@ def test_skip_counting_without_compatible_candidates():
     cfg = small_config("maver", epochs=1, dev_fraction=0.5)
     theta, history = train([[impossible]], {"t0": table}, None, cfg)
     assert history.epochs[0].skipped == 1
+
+
+@pytest.mark.parametrize("algo", ["mml", "merit:0.5"])
+def test_underflowing_update_names_the_example(algo):
+    # every compatible program needs a condition, so a condition prior of
+    # -2000 leaves each of them with a model probability of exp(-2000) = 0
+    sequences, tables = one_example_corpus()
+    cfg = small_config(algo, epochs=1, condition_prior=-2000.0)
+    with pytest.raises(TrainingError, match="at example q0/0:0: .*underflows to 0"):
+        train(sequences, tables, None, cfg)
 
 
 def test_spurious_audit_sample_zero():

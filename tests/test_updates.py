@@ -7,8 +7,8 @@ import pytest
 from denoparse import programs as P
 from denoparse.scorer import ParamVector, featurize, softmax
 from denoparse.tables import AnswerSet
-from denoparse.updates import (UpdateContext, UpdateSpecError, competing,
-                               exploration_distribution, generalized_update,
+from denoparse.updates import (NonFiniteUpdateError, UpdateContext, UpdateSpecError,
+                               competing, exploration_distribution, generalized_update,
                                intensity, make_context, most_violating_index,
                                parse_update_spec, reference_index, reward,
                                sample_from, violation_indices)
@@ -116,6 +116,14 @@ def test_meritocratic_beta_limits():
     assert all(abs(a - b) <= 1e-12 for a, b in zip(w1, wm))
     winf, _ = intensity(parse_update_spec("merit:inf"), ctx)
     assert winf == [0.0, 1.0, 0.0]
+
+
+def test_intensity_raises_when_compatible_mass_underflows():
+    # softmax([0, 2000]) gives the compatible program exp(-2000) = 0
+    ctx = ctx_from_scores([0.0, 2000.0], [1.0, 0.0], [True, False])
+    for spec in ("mml", "merit:0.5"):
+        with pytest.raises(NonFiniteUpdateError, match=f"^{spec} weights are undefined"):
+            intensity(parse_update_spec(spec), ctx)
 
 
 def test_intensity_skips_without_compatible():
@@ -304,7 +312,6 @@ def test_intensities_nonnegative_and_competing_normalized():
 
 
 def test_non_finite_update_raises():
-    from denoparse.updates import NonFiniteUpdateError
     qtokens, table, K, theta, rng = micro(61)
     ctx = make_context(K, theta, qtokens, table, rng)
     ctx.set_features([{f: math.inf for f in feats} if i == 0 else feats
