@@ -7,6 +7,15 @@ question token occurs in the column's cells), and a whole-program recall
 feature measuring how much of the question's table vocabulary the program
 leaves uncovered. Linearity makes the gradient of the score exactly the
 feature vector, which the update identities in tests lean on.
+
+One featurizer, `ActionFeaturizer`, computes the per-action features for a
+(question, table) pair. It splits an action's feature ids into a kind part,
+shared by every action of a kind, and an entity part assembled from
+per-column, per-value and per-anchor pieces that it computes once each.
+`action_features`, `featurize` and the beam search all go through it, and
+`weight_sum` adds every dot product left to right, so the search's score,
+the kind part's sum continued over the entity part, equals
+`theta.dot(action_features(...))` bit for bit.
 """
 from __future__ import annotations
 
@@ -31,8 +40,9 @@ _NEAR_WINDOW = 2
 _ATTACH_DISTANCE = 3
 
 
-def action_features(action, question_tokens, table: Table) -> FeatureVector:
-    """Per-action features; everything in featurize except recall.
+class ActionFeaturizer:
+    """The per-action features of every action over one (question, table)
+    pair; everything in featurize except recall.
 
     Besides kind indicators and entity match/overlap/related indicators,
     each action gets question-word conjunctions (kind x token, bag level)
@@ -41,64 +51,132 @@ def action_features(action, question_tokens, table: Table) -> FeatureVector:
     attachment indicator when value and column tokens sit close together,
     and kind x nearby-token conjunctions. Proximity is what lets a linear
     model attach "more than 10" to the right column in a two-clause
-    question."""
-    # iteration over token sets is sorted so feature insertion order, and
-    # with it float summation order, is identical across processes
-    qset = frozenset(question_tokens)
-    feats = {f"act={action.kind}": 1.0}
-    for t in sorted(qset):
-        feats[f"{action.kind}~{t}"] = 1.0
-    col_positions: list[int] = []
-    val_positions: list[int] = []
-    if action.column is not None:
-        ctoks = tokenize(table.column_names[action.column])
-        if ctoks:
-            inq = [t in qset for t in ctoks]
-            if all(inq):
-                feats[f"{action.kind}:col_exact"] = 1.0
-            if any(inq):
-                feats[f"{action.kind}:col_overlap"] = 1.0
-            cset = set(ctoks)
-            col_positions = [i for i, t in enumerate(question_tokens) if t in cset]
-        if table.column_cell_tokens[action.column] & qset:
-            feats[f"{action.kind}:col_related"] = 1.0
-    if action.value is not None:
-        vtoks = tokenize(action.value)
-        if vtoks:
-            inq = [t in qset for t in vtoks]
-            if all(inq):
-                feats[f"{action.kind}:val_exact"] = 1.0
-            if any(inq):
-                feats[f"{action.kind}:val_overlap"] = 1.0
-            vset = set(vtoks)
-            val_positions = [i for i, t in enumerate(question_tokens) if t in vset]
-    if val_positions and col_positions and min(
-            abs(i - j) for i in val_positions for j in col_positions) <= _ATTACH_DISTANCE:
-        feats[f"{action.kind}:val_near_col"] = 1.0
-    anchors = val_positions if action.value is not None else col_positions
-    if anchors:
-        near = set()
-        for p in anchors:
-            lo, hi = max(0, p - _NEAR_WINDOW), min(len(question_tokens), p + _NEAR_WINDOW + 1)
-            near.update(i for i in range(lo, hi) if i != p)
-        for i in sorted(near):
-            feats[f"{action.kind}@{question_tokens[i]}"] = 1.0
-    return feats
+    question.
+
+    Every feature has the value 1.0, and an action's ids come in two parts.
+    `kind_ids(kind)` is `act=K` followed by `K~t` for each question token
+    t, the same for every action of kind K. `entity_ids(action)` is the
+    rest, in this order: the column's exact, overlap and related flags, the
+    value's exact and overlap flags, the value-near-column flag and the
+    kind x nearby-token conjunctions. A column's flags and question
+    positions, a value's, and the nearby tokens of an anchor tuple are each
+    computed once, on first use, and shared by every action that has them.
+    """
+
+    def __init__(self, question_tokens, table: Table):
+        self.question_tokens = tuple(question_tokens)
+        self.table = table
+        self._qset = frozenset(self.question_tokens)
+        # iteration over token sets is sorted so feature insertion order, and
+        # with it float summation order, is identical across processes
+        self._qsorted = sorted(self._qset)
+        self._kinds: dict[str, list[str]] = {}
+        self._columns: dict[int, tuple[list[str], tuple[int, ...]]] = {}
+        self._values: dict[str, tuple[list[str], tuple[int, ...]]] = {}
+        self._near: dict[tuple[int, ...], list[str]] = {}
+
+    def kind_ids(self, kind: str) -> list[str]:
+        ids = self._kinds.get(kind)
+        if ids is None:
+            ids = self._kinds[kind] = [f"act={kind}"] + [f"{kind}~{t}" for t in self._qsorted]
+        return ids
+
+    def _match(self, name: str, toks: list[str]) -> tuple[list[str], tuple[int, ...]]:
+        """The exact and overlap id suffixes of an entity's tokens, and the
+        question positions that hold one of them."""
+        if not toks:
+            return [], ()
+        inq = [t in self._qset for t in toks]
+        suffixes = []
+        if all(inq):
+            suffixes.append(f":{name}_exact")
+        if any(inq):
+            suffixes.append(f":{name}_overlap")
+        tset = set(toks)
+        return suffixes, tuple(i for i, t in enumerate(self.question_tokens) if t in tset)
+
+    def _column(self, col: int) -> tuple[list[str], tuple[int, ...]]:
+        part = self._columns.get(col)
+        if part is None:
+            suffixes, positions = self._match("col", tokenize(self.table.column_names[col]))
+            if self.table.column_cell_tokens[col] & self._qset:
+                suffixes.append(":col_related")
+            part = self._columns[col] = (suffixes, positions)
+        return part
+
+    def _value(self, value: str) -> tuple[list[str], tuple[int, ...]]:
+        part = self._values.get(value)
+        if part is None:
+            part = self._values[value] = self._match("val", tokenize(value))
+        return part
+
+    def _near_suffixes(self, anchors: tuple[int, ...]) -> list[str]:
+        """`@t` for each distinct token t within the window of an anchor,
+        in question order."""
+        suffixes = self._near.get(anchors)
+        if suffixes is None:
+            q = self.question_tokens
+            near = set()
+            for p in anchors:
+                lo, hi = max(0, p - _NEAR_WINDOW), min(len(q), p + _NEAR_WINDOW + 1)
+                near.update(i for i in range(lo, hi) if i != p)
+            suffixes = self._near[anchors] = list(dict.fromkeys(
+                f"@{q[i]}" for i in sorted(near)))
+        return suffixes
+
+    def entity_ids(self, action) -> list[str]:
+        suffixes: list[str] = []
+        col_positions = val_positions = ()
+        if action.column is not None:
+            col_suffixes, col_positions = self._column(action.column)
+            suffixes += col_suffixes
+        if action.value is not None:
+            val_suffixes, val_positions = self._value(action.value)
+            suffixes += val_suffixes
+        if val_positions and col_positions and min(
+                abs(i - j) for i in val_positions for j in col_positions) <= _ATTACH_DISTANCE:
+            suffixes.append(":val_near_col")
+        anchors = val_positions if action.value is not None else col_positions
+        if anchors:
+            suffixes += self._near_suffixes(anchors)
+        kind = action.kind
+        return [kind + s for s in suffixes]
+
+    def ids(self, action) -> list[str]:
+        """Every feature id of the action, each once, in insertion order."""
+        return self.kind_ids(action.kind) + self.entity_ids(action)
+
+
+def action_features(action, question_tokens, table: Table) -> FeatureVector:
+    """Per-action features; everything in featurize except recall."""
+    return dict.fromkeys(ActionFeaturizer(question_tokens, table).ids(action), 1.0)
 
 
 def featurize(state: ProgramState, question_tokens, table: Table) -> FeatureVector:
-    question_tokens = tuple(question_tokens)
+    featurizer = ActionFeaturizer(question_tokens, table)
     feats: dict[str, float] = {}
     for a in state.actions:
-        for fid, v in action_features(a, question_tokens, table).items():
-            feats[fid] = feats.get(fid, 0.0) + v
-    e1 = question_table_tokens(question_tokens, table)
+        for fid in featurizer.ids(a):
+            feats[fid] = feats.get(fid, 0.0) + 1.0
+    e1 = question_table_tokens(featurizer.question_tokens, table)
     if e1:
         e2 = program_surface_tokens(state, table) - KEYWORD_WORDS
         uncovered = len(e1 - e2) / len(e1)
         if uncovered:
             feats[RECALL_FEATURE] = uncovered
     return feats
+
+
+def weight_sum(weights: dict[str, float], terms, start: float = 0.0) -> float:
+    """start + the sum of weight * value over (feature id, value) terms,
+    added one term at a time from the left. Every dot product in the
+    package is summed here, so a sum continued from a partial sum equals
+    the sum taken at once, bit for bit; `sum()` promises no order (CPython
+    3.12 and later add floats with compensation)."""
+    total = start
+    for f, v in terms:
+        total += weights.get(f, 0.0) * v
+    return total
 
 
 class ParamVector:
@@ -111,8 +189,7 @@ class ParamVector:
         return self.weights.get(fid, 0.0)
 
     def dot(self, feats: FeatureVector) -> float:
-        w = self.weights
-        return sum(w.get(f, 0.0) * v for f, v in feats.items())
+        return weight_sum(self.weights, feats.items())
 
     def add_scaled(self, delta: FeatureVector, scale: float) -> None:
         """theta += scale * delta; refuses to store non-finite weights."""

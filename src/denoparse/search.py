@@ -18,6 +18,14 @@ execution are not copied here: a state's legal kinds come from
 that cannot reach Stop within the action and condition budgets, and its
 rows come from `programs.step` over one `programs.ExecContext` per search.
 
+Each search prepares every action of the table once, from parts shared
+across actions. One `scorer.ActionFeaturizer` per search builds each
+column's, value's and anchor's features once; `action_dot` sums each kind's
+weights once and continues that sum over an action's few entity weights,
+left to right, which gives `theta.dot(action_features(...))` bit for bit.
+Surface-token masks are stored once per (column, value), and the keyword
+mask and co-occurrence weights once per kind.
+
 Children are ranked before they are built. Expanding a state gives each
 legal child a numeric rank value, `rank_key` without its serialization
 tie-break: the score from the action's precomputed feature dot product
@@ -38,11 +46,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from . import programs as P
 from .critique import EMPTY_LEXICON, Lexicon
-from .scorer import (RECALL_FEATURE, ParamVector, action_features,
-                     question_table_tokens)
+from .scorer import (RECALL_FEATURE, ActionFeaturizer, ParamVector,
+                     question_table_tokens, weight_sum)
+# unused here; bench/tracing.py patches search.action_features, so the name stays
+from .scorer import action_features  # noqa: F401
 from .tables import AnswerSet, Example, Table, exact_match
 
 
@@ -122,6 +133,18 @@ class _Hyp:
             setattr(self, k, v)
 
 
+def action_dot(featurizer: ActionFeaturizer, weights: dict[str, float],
+               kind_sums: dict[str, float], action: P.Action) -> float:
+    """theta . action_features(action), bit for bit: the weight sum of the
+    action's kind ids, computed once per kind into kind_sums, continued
+    left to right over its entity ids."""
+    start = kind_sums.get(action.kind)
+    if start is None:
+        start = kind_sums[action.kind] = weight_sum(
+            weights, zip(featurizer.kind_ids(action.kind), repeat(1.0)))
+    return weight_sum(weights, zip(featurizer.entity_ids(action), repeat(1.0)), start)
+
+
 def beam_search(example: Example, table: Table, theta: ParamVector,
                 lexicon: Lexicon | None, config: SearchConfig,
                 prev_answer: AnswerSet | None = None) -> CandidateSet:
@@ -163,19 +186,33 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
         __slots__ = ("action", "bit", "dot", "surf_nonkw", "surf_present",
                      "surf_e1", "keywords", "kw_weights", "tokens")
 
+    featurizer = ActionFeaturizer(qtokens, table)
+    weights = theta.weights
+    kind_sums: dict[str, float] = {}
+    # parts shared across actions: surface masks (non-keyword, in the
+    # question, in e1) per (column, value); keyword mask and co-occurrence
+    # weights per kind
+    surface_masks: dict[tuple, tuple[int, int, int]] = {}
+    kind_keywords: dict[str, tuple] = {}
+
     def prepare(action: P.Action, bit: int = 0) -> _Pre:
         pre = _Pre()
         pre.action = action
         pre.bit = bit  # conditions are distinct, so a bit per index marks use
-        pre.dot = theta.dot(action_features(action, qtokens, table))
-        surf = P.action_surface_tokens(action, table) - P.KEYWORD_WORDS
-        pre.surf_nonkw = mask(surf)
-        pre.surf_present = mask(surf & qset)
-        pre.surf_e1 = mask(surf & e1)
-        keywords = P.action_keywords(action)
-        pre.keywords = mask(keywords)
-        pre.kw_weights = tuple((mask((x,)), kw_weight[x]) for x in keywords
-                               if x in kw_weight)
+        pre.dot = action_dot(featurizer, weights, kind_sums, action)
+        key = (action.column, action.value)
+        masks = surface_masks.get(key)
+        if masks is None:
+            surf = P.action_surface_tokens(action, table) - P.KEYWORD_WORDS
+            masks = surface_masks[key] = (mask(surf), mask(surf & qset), mask(surf & e1))
+        pre.surf_nonkw, pre.surf_present, pre.surf_e1 = masks
+        kw = kind_keywords.get(action.kind)
+        if kw is None:
+            keywords = P.action_keywords(action)
+            kw = kind_keywords[action.kind] = (
+                mask(keywords),
+                tuple((mask((x,)), kw_weight[x]) for x in keywords if x in kw_weight))
+        pre.keywords, pre.kw_weights = kw
         pre.tokens = [None, None]  # serialization tokens [not after OR, after OR]
         return pre
 

@@ -44,9 +44,6 @@ class Table:
     def row_count(self) -> int:
         return len(self.cells)
 
-    def cell(self, row: int, col: int) -> Cell:
-        return self.cells[row][col]
-
     def column(self, col: int) -> tuple[Cell, ...]:
         return tuple(row[col] for row in self.cells)
 

@@ -93,7 +93,8 @@ class TrainHistory:
 def split_sequences(sequences, dev_fraction: float, seed: int):
     """Dev split by whole sequences, so follow-up context never leaks."""
     if len(sequences) < 2:
-        return list(sequences), list(sequences)
+        raise TrainingError(f"a dev split needs at least 2 sequences, "
+                            f"got {len(sequences)}")
     rng = random.Random(seed)
     idx = list(range(len(sequences)))
     rng.shuffle(idx)

@@ -136,9 +136,6 @@ class UpdateContext:
                                           self.question_tokens, self.table)
         return self._features[i]
 
-    def set_features(self, feats: list[FeatureVector]) -> None:
-        self._features = list(feats)
-
     @property
     def model_distribution(self) -> list[float]:
         return softmax(self.scores)

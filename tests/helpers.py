@@ -14,7 +14,7 @@ from denoparse.scorer import (ParamVector, action_features, featurize,
                               question_table_tokens)
 from denoparse.search import Candidate, CandidateSet, rank_key
 from denoparse.tables import AnswerSet, Cell, Table, exact_match, jaccard
-from denoparse.text import normalize_answer, parse_number
+from denoparse.text import normalize_answer, parse_number, tokenize
 
 
 # --- independent interpreter ---------------------------------------------
@@ -88,6 +88,48 @@ def oracle_execute(program: P.Program, table: Table,
                 values.add(normalize_answer(table.cells[r][c].raw))
                 coords.add((r, c))
     return AnswerSet(frozenset(values), frozenset(coords))
+
+
+# --- independent featurizer ----------------------------------------------
+
+def reference_action_features(action, question_tokens, table: Table) -> dict:
+    """Per-action features computed from scratch for one action, in the
+    order the package inserts them; `scorer.ActionFeaturizer` shares the
+    parts of this across actions."""
+    q = tuple(question_tokens)
+    qset = frozenset(q)
+    k = action.kind
+    feats = {f"act={k}": 1.0}
+    for t in sorted(qset):
+        feats[f"{k}~{t}"] = 1.0
+    col_pos: list[int] = []
+    val_pos: list[int] = []
+    if action.column is not None:
+        ctoks = tokenize(table.column_names[action.column])
+        if ctoks:
+            if all(t in qset for t in ctoks):
+                feats[f"{k}:col_exact"] = 1.0
+            if any(t in qset for t in ctoks):
+                feats[f"{k}:col_overlap"] = 1.0
+            col_pos = [i for i, t in enumerate(q) if t in ctoks]
+        if table.column_cell_tokens[action.column] & qset:
+            feats[f"{k}:col_related"] = 1.0
+    if action.value is not None:
+        vtoks = tokenize(action.value)
+        if vtoks:
+            if all(t in qset for t in vtoks):
+                feats[f"{k}:val_exact"] = 1.0
+            if any(t in qset for t in vtoks):
+                feats[f"{k}:val_overlap"] = 1.0
+            val_pos = [i for i, t in enumerate(q) if t in vtoks]
+    if val_pos and col_pos and min(abs(i - j) for i in val_pos for j in col_pos) <= 3:
+        feats[f"{k}:val_near_col"] = 1.0
+    anchors = val_pos if action.value is not None else col_pos
+    near = sorted({i for p in anchors for i in range(max(0, p - 2), min(len(q), p + 3))
+                   if i != p})
+    for i in near:
+        feats[f"{k}@{q[i]}"] = 1.0
+    return feats
 
 
 # --- reference beam search -------------------------------------------------

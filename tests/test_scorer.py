@@ -2,14 +2,16 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from denoparse import programs as P
-from denoparse.scorer import (ParamVector, action_features, boltzmann, featurize,
-                              score, score_gradient, softmax)
+from denoparse.scorer import (ActionFeaturizer, ParamVector, action_features, boltzmann,
+                              featurize, score, score_gradient, softmax)
+from denoparse.search import action_dot
+from denoparse.synth import SynthConfig, generate_corpus
 from denoparse.text import tokenize
 
-from helpers import finite_difference
+from helpers import finite_difference, reference_action_features
 
 
 def lookup_program(select_col, cond_kind, cond_col, value=None):
@@ -141,6 +143,47 @@ def test_score_additive_over_actions(squad_table):
                          for f in set(before) | set(after) if f != "recall")
         assert non_recall == pytest.approx(theta.dot(contrib), abs=1e-12)
         prefix = extended
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 2), st.booleans(), st.integers(-3, 6),
+       st.integers(0, 2**32 - 1))
+def test_featurizer_parts_match_action_features(corpus_seed, position, doubled, log_scale,
+                                                weight_seed):
+    # every sequence has three questions, so positions 0-2 all exist
+    corpus = generate_corpus(SynthConfig(sequences=1, seed=corpus_seed, min_rows=2,
+                                         max_rows=4, followup_prob=1.0,
+                                         third_question_prob=1.0))
+    ex = corpus.sequences[0][position]
+    table = corpus.tables[ex.table_ref]
+    # a question said twice repeats every token near an anchor
+    q = ex.question_tokens * (2 if doubled else 1)
+    actions = (P.head_actions(table, position)
+               + P.condition_actions(table, tuple(ex.question_numbers))
+               + (P.Action(P.OR), P.Action(P.STOP)))
+    featurizer = ActionFeaturizer(q, table)
+    ids = set()
+    for a in actions:
+        want = action_features(a, q, table)
+        assert featurizer.kind_ids(a.kind) + featurizer.entity_ids(a) == list(want)
+        assert list(want.items()) == list(reference_action_features(a, q, table).items())
+        ids.update(want)
+    # Gaussian weights on most features; the rest default to 0
+    rng = random.Random(weight_seed)
+    scale = 10.0 ** log_scale
+    theta = ParamVector({f: rng.gauss(0.0, scale) for f in sorted(ids) if rng.random() < 0.9})
+    kind_sums: dict = {}
+    for a in actions:
+        assert action_dot(featurizer, theta.weights, kind_sums, a) == \
+            theta.dot(action_features(a, q, table))
+
+
+def test_dot_adds_left_to_right():
+    theta = ParamVector({"a": 1e16, "b": 1.0, "c": -1e16})
+    # (1e16 + 1.0) rounds back to 1e16; a compensated sum would give 1.0
+    assert theta.dot({"a": 1.0, "b": 1.0, "c": 1.0}) == 0.0
+    empty = ParamVector().dot({})
+    assert empty == 0.0 and type(empty) is float
 
 
 def test_boltzmann_uniform_on_equal_scores(squad_table):

@@ -40,7 +40,7 @@ def test_load_table(tmp_path):
     t = load_table(str(p))
     assert t.col_count == 3
     assert t.row_count == 7
-    assert t.cell(0, 2).numeric == 0.0
+    assert t.cells[0][2].numeric == 0.0
 
 
 def test_load_table_errors(tmp_path):

@@ -24,6 +24,8 @@ def history_with(dev_accuracies):
 
 
 def one_example_corpus():
+    # training needs 2 sequences for its dev split; tests train on this one
+    # passed twice, so the dev split is a copy of the training sequence
     table = make_table("t0", ("Name", "Points"), [("Ada", "3"), ("Bo", "7")])
     ex = example_for(table, "how many points did ada have?", ["3"],
                      coords={(0, 1)}, sequence_id="q0/0")
@@ -41,14 +43,14 @@ def small_config(algo="mmr", **kw):
 
 def test_overfit_single_example_with_margin_updates():
     sequences, tables = one_example_corpus()
-    theta, history = train(sequences, tables, None, small_config(epochs=8))
+    theta, history = train(sequences * 2, tables, None, small_config(epochs=8))
     assert evaluate(sequences, tables, theta, small_config().search) == 1.0
 
 
 def test_zero_learning_rate_changes_nothing():
     sequences, tables = one_example_corpus()
     cfg = small_config(learning_rate=0.0, epochs=3)
-    theta, history = train(sequences, tables, None, cfg)
+    theta, history = train(sequences * 2, tables, None, cfg)
     assert theta.weights == _initial_theta(cfg).weights
     assert len(set(history.dev_accuracies)) == 1
 
@@ -69,7 +71,7 @@ def test_update_is_exactly_learning_rate_times_delta():
     sequences, tables = one_example_corpus()
     ex = sequences[0][0]
     cfg = small_config("mml", epochs=1)
-    theta, _ = train(sequences, tables, None, cfg)
+    theta, _ = train(sequences * 2, tables, None, cfg)
     # recompute the single update by hand from the initial parameters
     init = _initial_theta(cfg)
     K = beam_search(ex, tables["t0"], init, None, cfg.search)
@@ -92,6 +94,13 @@ def test_dev_split_is_by_sequence():
     train_ids = {e.sequence_id for s in train_seqs for e in s}
     dev_ids = {e.sequence_id for s in dev_seqs for e in s}
     assert not train_ids & dev_ids
+
+
+def test_one_sequence_has_no_dev_split():
+    table = make_table("t0", ("A",), [("x",)])
+    seqs = [[example_for(table, "q?", ["x"], sequence_id="s0/0", position=0)]]
+    with pytest.raises(TrainingError, match="needs at least 2 sequences, got 1"):
+        train(seqs, {table.id: table}, None, TrainConfig(epochs=1))
 
 
 def test_stability_arithmetic():
@@ -152,7 +161,7 @@ def test_skip_counting_without_compatible_candidates():
     impossible = example_for(table, "who is missing?", ["nobody"],
                              sequence_id="q/0")
     cfg = small_config("maver", epochs=1, dev_fraction=0.5)
-    theta, history = train([[impossible]], {"t0": table}, None, cfg)
+    theta, history = train([[impossible]] * 2, {"t0": table}, None, cfg)
     assert history.epochs[0].skipped == 1
 
 
@@ -163,7 +172,7 @@ def test_underflowing_update_names_the_example(algo):
     sequences, tables = one_example_corpus()
     cfg = small_config(algo, epochs=1, condition_prior=-2000.0)
     with pytest.raises(TrainingError, match="at example q0/0:0: .*underflows to 0"):
-        train(sequences, tables, None, cfg)
+        train(sequences * 2, tables, None, cfg)
 
 
 def test_spurious_audit_sample_zero():
@@ -175,7 +184,7 @@ def test_spurious_audit_sample_zero():
 def test_spurious_audit_order_invariant_corpus():
     sequences, tables = one_example_corpus()
     cfg = small_config(epochs=4)
-    theta, _ = train(sequences, tables, None, cfg)
+    theta, _ = train(sequences * 2, tables, None, cfg)
     s, t = spurious_audit(sequences, tables, theta, 5, 0, cfg.search)
     assert s == 0 and t == 1
 

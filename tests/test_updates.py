@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -287,8 +288,8 @@ def test_shift_invariance_of_matched_updates():
         base = generalized_update(spec, ctx)
         shifted_features = [dict(featurize(c.program, qtokens, table),
                                  __bias__=1.0) for c in K.entries]
-        ctx2 = make_context(K, theta, qtokens, table, random.Random(7))
-        ctx2.set_features(list(shifted_features))
+        ctx2 = replace(make_context(K, theta, qtokens, table, random.Random(7)),
+                       _features=shifted_features)
         shifted = generalized_update(spec, ctx2)
         for f in set(base.delta) | set(shifted.delta) - {"__bias__"}:
             assert shifted.delta.get(f, 0.0) == pytest.approx(
@@ -313,9 +314,9 @@ def test_intensities_nonnegative_and_competing_normalized():
 
 def test_non_finite_update_raises():
     qtokens, table, K, theta, rng = micro(61)
-    ctx = make_context(K, theta, qtokens, table, rng)
-    ctx.set_features([{f: math.inf for f in feats} if i == 0 else feats
-                      for i, feats in enumerate(
-                          featurize(c.program, qtokens, table) for c in K.entries)])
+    ctx = replace(make_context(K, theta, qtokens, table, rng),
+                  _features=[{f: math.inf for f in feats} if i == 0 else feats
+                             for i, feats in enumerate(
+                                 featurize(c.program, qtokens, table) for c in K.entries)])
     with pytest.raises((NonFiniteUpdateError, ValueError)):
         generalized_update(parse_update_spec("mml"), ctx)
