@@ -18,8 +18,10 @@ def main():
     zoo = update_zoo(ZooConfig(sequences=args.sequences, epochs=args.epochs,
                                seed=args.seed))
     for spec, entry in zoo.items():
+        # stability needs 2 epochs; the report holds None below that
+        stab = entry["stability"]
         print(f"{spec:16s} dev={entry['final_accuracy']:.3f} "
-              f"stability={entry['stability']:.3f} "
+              f"stability={'n/a' if stab is None else format(stab, '.3f')} "
               f"skipped={entry['skipped_total']} weights={entry['n_weights']}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

@@ -13,14 +13,15 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 from .critique import LexiconError, ShapingError, default_lexicon, load_lexicon
 from .scorer import ParamVector
 from .search import SearchConfig, beam_search, dump_record
 from .synth import SynthConfig, generate_corpus, measure_ambiguity, write_corpus
 from .tables import IngestionError, load_dataset
-from .training import (TrainConfig, TrainingError, evaluate, spurious_audit,
-                       stability, train)
+from .training import (EpochStats, TrainConfig, TrainingError, evaluate, run_report,
+                       spurious_audit, train, with_gold_context)
 from .updates import UpdateSpecError, parse_update_spec
 
 _BOOL = {"on": True, "off": False}
@@ -182,11 +183,10 @@ def _write_report(path: str, report: dict) -> None:
     csv_path = os.path.splitext(path)[0] + ".csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(["epoch", "dev_accuracy", "train_accuracy", "skipped",
-                    "zero_updates", "wall_time"])
+        names = [f.name for f in fields(EpochStats)]
+        w.writerow(["epoch", *names])
         for i, e in enumerate(report["history"]["epochs"]):
-            w.writerow([i, e["dev_accuracy"], e["train_accuracy"], e["skipped"],
-                        e["zero_updates"], f"{e['wall_time']:.3f}"])
+            w.writerow([i, *(f"{e[n]:.3f}" if n == "wall_time" else e[n] for n in names)])
 
 
 def cmd_train(args) -> int:
@@ -201,17 +201,8 @@ def cmd_train(args) -> int:
         train_accuracy_sample=args.train_acc_sample)
     theta, history = train(sequences, tables, lexicon, config)
     theta.save(args.out)
-    report = {
-        "algo": args.algo,
-        "seed": args.seed,
-        "history": history.to_dict(),
-        "final_accuracy": history.best_dev_accuracy,
-        "stability": stability(history) if len(history.epochs) >= 2 else None,
-        "skipped_total": sum(e.skipped for e in history.epochs),
-        "zero_updates_total": sum(e.zero_updates for e in history.epochs),
-        "spurious_audit": None,
-        "n_weights": len(theta),
-    }
+    report = {"algo": args.algo, "seed": args.seed, "spurious_audit": None,
+              **run_report(history, theta)}
     if args.audit_sample > 0:
         s, t = spurious_audit(sequences, tables, theta, args.audit_sample,
                               args.seed, config.search, lexicon)
@@ -224,16 +215,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _iter_with_gold_prev(sequences):
-    for seq in sequences:
-        for ex in seq:
-            prev = seq[ex.position - 1].gold_answer if ex.position >= 1 else None
-            yield ex, prev
-
-
 def _dump_beams(sequences, tables, theta, search_config, lexicon, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for ex, prev in _iter_with_gold_prev(sequences):
+        for ex, prev in with_gold_context(sequences):
             K = beam_search(ex, tables[ex.table_ref], theta, lexicon,
                             search_config, prev)
             f.write(json.dumps(dump_record(ex, K), sort_keys=True) + "\n")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .critique import default_lexicon
 from .search import SearchConfig
 from .synth import SynthConfig, SynthCorpus, generate_corpus
-from .training import TrainConfig, evaluate, spurious_audit, stability, train
+from .training import TrainConfig, evaluate, run_report, spurious_audit, stability, train
 from .updates import CANONICAL_SPECS, parse_update_spec
 
 
@@ -162,12 +162,5 @@ def update_zoo(cfg: ZooConfig | None = None) -> dict:
         tc = TrainConfig(update_spec=parse_update_spec(spec), epochs=cfg.epochs,
                          search=search, seed=cfg.seed, train_accuracy_sample=0)
         theta, history = train(corpus.sequences, corpus.tables, lexicon, tc)
-        out[spec] = {
-            "history": history.to_dict(),
-            "final_accuracy": history.best_dev_accuracy,
-            "stability": stability(history) if cfg.epochs >= 2 else None,
-            "skipped_total": sum(e.skipped for e in history.epochs),
-            "zero_updates_total": sum(e.zero_updates for e in history.epochs),
-            "n_weights": len(theta),
-        }
+        out[spec] = run_report(history, theta)
     return out

@@ -218,14 +218,11 @@ def legal_actions(state: ProgramState, table: Table, position: int,
     return out
 
 
-def apply_action(state: ProgramState, action: Action, table: Table | None = None,
-                 position: int = 0, max_conditions: int | None = None,
-                 question_numbers: tuple[str, ...] = (), validate: bool = True) -> ProgramState:
-    if validate:
-        if table is None:
-            raise ValueError("validation requires the table")
-        if action not in legal_actions(state, table, position, max_conditions, question_numbers):
-            raise IllegalActionError(f"action {action} is illegal for state {state.actions}")
+def apply_action(state: ProgramState, action: Action, table: Table, position: int = 0,
+                 max_conditions: int | None = None,
+                 question_numbers: tuple[str, ...] = ()) -> ProgramState:
+    if action not in legal_actions(state, table, position, max_conditions, question_numbers):
+        raise IllegalActionError(f"action {action} is illegal for state {state.actions}")
     return state.child(action)
 
 

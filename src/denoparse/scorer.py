@@ -12,10 +12,12 @@ One featurizer, `ActionFeaturizer`, computes the per-action features for a
 (question, table) pair. It splits an action's feature ids into a kind part,
 shared by every action of a kind, and an entity part assembled from
 per-column, per-value and per-anchor pieces that it computes once each.
-`action_features`, `featurize` and the beam search all go through it, and
-`weight_sum` adds every dot product left to right, so the search's score,
-the kind part's sum continued over the entity part, equals
-`theta.dot(action_features(...))` bit for bit.
+`action_features`, `featurize`, the beam search and the update all go
+through it: the search returns its featurizer with the candidate set, and
+the update reads each candidate's features from it. `weight_sum` adds
+every dot product left to right, so the search's score, the kind part's
+sum continued over the entity part, equals `theta.dot(action_features(...))`
+bit for bit.
 """
 from __future__ import annotations
 
@@ -41,8 +43,8 @@ _ATTACH_DISTANCE = 3
 
 
 class ActionFeaturizer:
-    """The per-action features of every action over one (question, table)
-    pair; everything in featurize except recall.
+    """The features of every action and program over one (question, table)
+    pair: `ids` gives an action's, `featurize` a whole program's.
 
     Besides kind indicators and entity match/overlap/related indicators,
     each action gets question-word conjunctions (kind x token, bag level)
@@ -146,6 +148,20 @@ class ActionFeaturizer:
         """Every feature id of the action, each once, in insertion order."""
         return self.kind_ids(action.kind) + self.entity_ids(action)
 
+    def featurize(self, state: ProgramState) -> FeatureVector:
+        """The program's features: its actions' ids summed, then recall."""
+        feats: dict[str, float] = {}
+        for a in state.actions:
+            for fid in self.ids(a):
+                feats[fid] = feats.get(fid, 0.0) + 1.0
+        e1 = question_table_tokens(self.question_tokens, self.table)
+        if e1:
+            e2 = program_surface_tokens(state, self.table) - KEYWORD_WORDS
+            uncovered = len(e1 - e2) / len(e1)
+            if uncovered:
+                feats[RECALL_FEATURE] = uncovered
+        return feats
+
 
 def action_features(action, question_tokens, table: Table) -> FeatureVector:
     """Per-action features; everything in featurize except recall."""
@@ -153,18 +169,7 @@ def action_features(action, question_tokens, table: Table) -> FeatureVector:
 
 
 def featurize(state: ProgramState, question_tokens, table: Table) -> FeatureVector:
-    featurizer = ActionFeaturizer(question_tokens, table)
-    feats: dict[str, float] = {}
-    for a in state.actions:
-        for fid in featurizer.ids(a):
-            feats[fid] = feats.get(fid, 0.0) + 1.0
-    e1 = question_table_tokens(featurizer.question_tokens, table)
-    if e1:
-        e2 = program_surface_tokens(state, table) - KEYWORD_WORDS
-        uncovered = len(e1 - e2) / len(e1)
-        if uncovered:
-            feats[RECALL_FEATURE] = uncovered
-    return feats
+    return ActionFeaturizer(question_tokens, table).featurize(state)
 
 
 def weight_sum(weights: dict[str, float], terms, start: float = 0.0) -> float:

@@ -23,6 +23,7 @@ across actions. One `scorer.ActionFeaturizer` per search builds each
 column's, value's and anchor's features once; `action_dot` sums each kind's
 weights once and continues that sum over an action's few entity weights,
 left to right, which gives `theta.dot(action_features(...))` bit for bit.
+The candidate set carries that featurizer on to the update.
 Surface-token masks are stored once per (column, value), and the keyword
 mask and co-occurrence weights once per kind.
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 from . import programs as P
@@ -91,8 +92,11 @@ class Candidate:
 
 @dataclass
 class CandidateSet:
-    """Programs found for one example, ordered by the final beam ranking."""
-    entries: list[Candidate] = field(default_factory=list)
+    """Programs found for one example, ordered by the final beam ranking,
+    with the featurizer the search scored them by: `featurizer.featurize`
+    gives a candidate's features, the gradient of its score."""
+    entries: list[Candidate]
+    featurizer: ActionFeaturizer
 
     @property
     def compatible(self) -> list[Candidate]:
@@ -125,8 +129,8 @@ def rank_key(serialization: str, reward: float, score: float, critique: float,
 
 
 class _Hyp:
-    __slots__ = ("actions", "ser", "state", "used", "score", "covered", "nonkw",
-                 "present", "keywords", "cooccur", "reward", "critique")
+    __slots__ = ("actions", "ser", "state", "used", "score", "nonkw",
+                 "keywords", "cooccur", "reward", "critique")
 
     def __init__(self, **kw):
         for k, v in kw.items():
@@ -182,17 +186,20 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
             m |= token_bit.setdefault(t, 1 << len(token_bit))
         return m
 
+    # a state keeps only its non-keyword surface mask: its tokens in the
+    # question are that & q_mask, and those in e1 that & mask(e1)
+    q_mask = mask(qset)
+
     class _Pre:
-        __slots__ = ("action", "bit", "dot", "surf_nonkw", "surf_present",
-                     "surf_e1", "keywords", "kw_weights", "tokens")
+        __slots__ = ("action", "bit", "dot", "surf_nonkw", "surf_e1",
+                     "keywords", "kw_weights", "tokens")
 
     featurizer = ActionFeaturizer(qtokens, table)
     weights = theta.weights
     kind_sums: dict[str, float] = {}
-    # parts shared across actions: surface masks (non-keyword, in the
-    # question, in e1) per (column, value); keyword mask and co-occurrence
-    # weights per kind
-    surface_masks: dict[tuple, tuple[int, int, int]] = {}
+    # parts shared across actions: surface masks (non-keyword, in e1) per
+    # (column, value); keyword mask and co-occurrence weights per kind
+    surface_masks: dict[tuple, tuple[int, int]] = {}
     kind_keywords: dict[str, tuple] = {}
 
     def prepare(action: P.Action, bit: int = 0) -> _Pre:
@@ -204,8 +211,8 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
         masks = surface_masks.get(key)
         if masks is None:
             surf = P.action_surface_tokens(action, table) - P.KEYWORD_WORDS
-            masks = surface_masks[key] = (mask(surf), mask(surf & qset), mask(surf & e1))
-        pre.surf_nonkw, pre.surf_present, pre.surf_e1 = masks
+            masks = surface_masks[key] = (mask(surf), mask(surf & e1))
+        pre.surf_nonkw, pre.surf_e1 = masks
         kw = kind_keywords.get(action.kind)
         if kw is None:
             keywords = P.action_keywords(action)
@@ -234,8 +241,7 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
         return inter / (len(values) + len(gold_values) - inter)
 
     root = _Hyp(actions=(), ser="", state=ctx.start, used=0,
-                score=(w_recall if e1_len else 0.0), covered=0,
-                nonkw=0, present=0, keywords=0, cooccur=0,
+                score=(w_recall if e1_len else 0.0), nonkw=0, keywords=0, cooccur=0,
                 reward=0.0, critique=0.0)
 
     def legal(hyp: _Hyp) -> list[_Pre]:
@@ -260,43 +266,41 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
         return h_ser + " " + tok if h_ser and tok else (h_ser or tok)
 
     def critique_parts(hyp: _Hyp, pre: _Pre):
-        """(non-keyword tokens, those in the question, co-occurrence,
-        critique) of the child of hyp by pre."""
+        """(non-keyword tokens, co-occurrence, critique) of the child of hyp
+        by pre."""
         nonkw = hyp.nonkw | pre.surf_nonkw
-        present = hyp.present | pre.surf_present
         cooccur = hyp.cooccur
         if pre.kw_weights:
             cooccur += sum(w for b, w in pre.kw_weights if not hyp.keywords & b)
         n = nonkw.bit_count()
-        return nonkw, present, cooccur, (present.bit_count() / n if n else 0.0) + cooccur
+        return nonkw, cooccur, ((nonkw & q_mask).bit_count() / n if n else 0.0) + cooccur
 
     def expand(hyp: _Hyp, values: list, pending: list) -> None:
         """Append the rank value and (parent, action, score) of each
         incomplete child of hyp; completed children go straight to the pool."""
-        h_score, h_covered, h_state = hyp.score, hyp.covered, hyp.state
+        h_score, h_nonkw, h_state = hyp.score, hyp.nonkw, hyp.state
         for pre in legal(hyp):
             score = h_score + pre.dot
-            new_e1 = pre.surf_e1 & ~h_covered
+            new_e1 = pre.surf_e1 & ~h_nonkw
             if new_e1:
                 score -= w_recall * (new_e1.bit_count() / e1_len)
             if pre is pre_stop:
                 finalize(make_child(hyp, pre, score))
                 continue
-            critique = critique_parts(hyp, pre)[3] if shaping else 0.0
+            critique = critique_parts(hyp, pre)[2] if shaping else 0.0
             reward = (partial_reward(P.step(ctx, h_state, pre.action))
                       if use_reward else 0.0)
             values.append(rank_value(reward, score, critique, config))
             pending.append((hyp, pre, score))
 
     def make_child(hyp: _Hyp, pre: _Pre, score: float) -> _Hyp:
-        nonkw, present, cooccur, critique = critique_parts(hyp, pre)
+        nonkw, cooccur, critique = critique_parts(hyp, pre)
         state = P.step(ctx, hyp.state, pre.action)
         reward = 0.0
         if (use_reward or pre is pre_stop) and gold_values is not None:
             reward = partial_reward(state)
         return _Hyp(actions=hyp.actions + (pre.action,), ser=serialize(hyp, pre),
-                    state=state, used=hyp.used | pre.bit, score=score,
-                    covered=hyp.covered | pre.surf_e1, nonkw=nonkw, present=present,
+                    state=state, used=hyp.used | pre.bit, score=score, nonkw=nonkw,
                     keywords=hyp.keywords | pre.keywords, cooccur=cooccur,
                     reward=reward, critique=critique)
 
@@ -334,7 +338,7 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
     entries = sorted(pool.values(),
                      key=lambda c: rank_key(c.serialization, c.reward, c.score,
                                             c.critique, config))[:n]
-    return CandidateSet(entries)
+    return CandidateSet(entries, featurizer)
 
 
 def dump_record(example: Example, candidates: CandidateSet) -> dict:

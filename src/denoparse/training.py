@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .critique import Lexicon
 from .programs import is_spurious
@@ -35,7 +35,6 @@ class TrainConfig:
     refit: bool = False
     model_shaping: bool = False
     grad_clip: float | None = None  # optional L2 clip (10 is the safe choice)
-    offpolicy_softening: float = 5.0
     # weight initialization: a coverage prior on the recall feature and a
     # small per-condition cost, so the very first reference programs are
     # short ones that mention what the question mentions, instead of
@@ -79,15 +78,20 @@ class TrainHistory:
         return self.epochs[self.best_epoch].dev_accuracy
 
     def to_dict(self) -> dict:
-        return {
-            "best_epoch": self.best_epoch,
-            "epochs": [
-                {"dev_accuracy": e.dev_accuracy, "train_accuracy": e.train_accuracy,
-                 "skipped": e.skipped, "zero_updates": e.zero_updates,
-                 "wall_time": e.wall_time}
-                for e in self.epochs
-            ],
-        }
+        return {"best_epoch": self.best_epoch,
+                "epochs": [asdict(e) for e in self.epochs]}
+
+
+def run_report(history: TrainHistory, theta: ParamVector) -> dict:
+    """The summary of one training run; stability needs 2 epochs."""
+    return {
+        "history": history.to_dict(),
+        "final_accuracy": history.best_dev_accuracy,
+        "stability": stability(history) if len(history.epochs) >= 2 else None,
+        "skipped_total": sum(e.skipped for e in history.epochs),
+        "zero_updates_total": sum(e.zero_updates for e in history.epochs),
+        "n_weights": len(theta),
+    }
 
 
 def split_sequences(sequences, dev_fraction: float, seed: int):
@@ -104,7 +108,8 @@ def split_sequences(sequences, dev_fraction: float, seed: int):
     return [sequences[i] for i in train_idx], [sequences[i] for i in dev_idx]
 
 
-def _with_gold_context(sequences) -> list[tuple[Example, AnswerSet | None]]:
+def with_gold_context(sequences) -> list[tuple[Example, AnswerSet | None]]:
+    """Every example with its sequence's gold previous answer."""
     flat = []
     for seq in sequences:
         for ex in seq:
@@ -138,9 +143,7 @@ def _sgd_pass(flat, tables, lexicon, config: TrainConfig, theta: ParamVector,
         if not K:
             skipped += 1
             continue
-        ctx = make_context(K, theta, ex.question_tokens, table, rng,
-                           model_shaping_eta=model_eta,
-                           offpolicy_softening=config.offpolicy_softening,
+        ctx = make_context(K, rng, model_shaping_eta=model_eta,
                            shaping_eta=shaping_eta)
         try:
             res = generalized_update(config.update_spec, ctx)
@@ -170,7 +173,7 @@ def train(sequences, tables: dict[str, Table], lexicon: Lexicon | None,
     if not sequences:
         raise ValueError("no examples")
     train_seqs, dev_seqs = split_sequences(sequences, config.dev_fraction, config.seed)
-    flat = _with_gold_context(train_seqs)
+    flat = with_gold_context(train_seqs)
     theta = _initial_theta(config)
     rng = random.Random(config.seed)
 
@@ -210,7 +213,7 @@ def train(sequences, tables: dict[str, Table], lexicon: Lexicon | None,
         # re-seeded identically
         refit_theta = _initial_theta(config)
         refit_rng = random.Random(config.seed)
-        refit_flat = _with_gold_context(sequences)
+        refit_flat = with_gold_context(sequences)
         for _ in range(history.best_epoch + 1):
             _sgd_pass(refit_flat, tables, lexicon, config, refit_theta, refit_rng)
         return refit_theta, history
@@ -273,7 +276,7 @@ def spurious_audit(sequences, tables: dict[str, Table], theta: ParamVector,
     permutations. Returns (spurious_count, examples_with_a_compatible_top)."""
     if sample_size <= 0:
         return 0, 0
-    pool = _with_gold_context(sequences)
+    pool = with_gold_context(sequences)
     rng = random.Random(seed)
     picked = pool if len(pool) <= sample_size else rng.sample(pool, sample_size)
     spurious = total = 0

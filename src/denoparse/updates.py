@@ -25,13 +25,12 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .scorer import FeatureVector, ParamVector, featurize, softmax
+from .scorer import FeatureVector, softmax
+# unused here; bench/tracing.py patches updates.featurize, so the name stays
+from .scorer import featurize  # noqa: F401
 from .search import CandidateSet
 from .tables import AnswerSet, Table, jaccard
 from .programs import Program, execute
-
-INTENSITY_KINDS = ("mml", "merit", "reinforce", "offpg", "reference")
-COMPETING_KINDS = ("model", "most_violating", "violation_uniform")
 
 # algorithm name -> (intensity side, competing side)
 _ALGORITHMS = {
@@ -113,13 +112,11 @@ CANONICAL_SPECS = ("mml", "merit:0.5", "reinforce", "offpg", "mmr", "maver")
 
 @dataclass
 class UpdateContext:
-    """Everything one update needs: the candidate set, effective scores
+    """Everything one update needs: the candidate set, whose featurizer
+    gives each candidate's features, the trainer's rng, effective scores
     (model score, plus the critique term under model shaping), rewards,
-    the exploration distribution u, and the trainer's rng."""
+    and the exploration distribution u."""
     K: CandidateSet
-    theta: ParamVector
-    question_tokens: tuple[str, ...]
-    table: Table
     rng: random.Random
     scores: list[float]
     rewards: list[float]
@@ -132,8 +129,7 @@ class UpdateContext:
 
     def feature(self, i: int) -> FeatureVector:
         if self._features[i] is None:
-            self._features[i] = featurize(self.K.entries[i].program,
-                                          self.question_tokens, self.table)
+            self._features[i] = self.K.featurizer.featurize(self.K.entries[i].program)
         return self._features[i]
 
     @property
@@ -145,17 +141,15 @@ class UpdateContext:
         return [i for i, c in enumerate(self.K.entries) if c.compatible]
 
 
-def make_context(K: CandidateSet, theta: ParamVector, question_tokens, table: Table,
-                 rng: random.Random, model_shaping_eta: float | None = None,
-                 offpolicy_softening: float = 5.0,
+def make_context(K: CandidateSet, rng: random.Random,
+                 model_shaping_eta: float | None = None,
                  shaping_eta: float | None = None) -> UpdateContext:
     scores = [c.score for c in K.entries]
     if model_shaping_eta is not None:
         scores = [s + model_shaping_eta * c.critique for s, c in zip(scores, K.entries)]
     rewards = [c.reward for c in K.entries]
-    u = exploration_distribution(K, offpolicy_softening, shaping_eta)
-    return UpdateContext(K, theta, tuple(question_tokens), table, rng,
-                         scores, rewards, u)
+    u = exploration_distribution(K, shaping_eta=shaping_eta)
+    return UpdateContext(K, rng, scores, rewards, u)
 
 
 def exploration_distribution(K: CandidateSet, softening: float = 5.0,

@@ -10,8 +10,8 @@ import random
 
 from denoparse import programs as P
 from denoparse.critique import critique_score
-from denoparse.scorer import (ParamVector, action_features, featurize,
-                              question_table_tokens)
+from denoparse.scorer import (ActionFeaturizer, ParamVector, action_features,
+                              featurize, question_table_tokens)
 from denoparse.search import Candidate, CandidateSet, rank_key
 from denoparse.tables import AnswerSet, Cell, Table, exact_match, jaccard
 from denoparse.text import normalize_answer, parse_number, tokenize
@@ -208,7 +208,7 @@ def reference_beam_search(example, table: Table, theta: ParamVector, lexicon,
         beam = [(child, s) for _, child, s in children[:config.beam_size]]
     entries = sorted(pool.values(), key=lambda c: rank_key(
         c.serialization, c.reward, c.score, c.critique, config))
-    return CandidateSet(entries[:config.beam_size])
+    return CandidateSet(entries[:config.beam_size], ActionFeaturizer(q, table))
 
 
 # --- finite differences ---------------------------------------------------
@@ -251,7 +251,7 @@ def candidate_set(programs, question_tokens, table: Table, theta: ParamVector,
             compatible=exact_match(answer, gold),
             answer=answer))
     entries.sort(key=lambda c: c.serialization)
-    return CandidateSet(entries)
+    return CandidateSet(entries, ActionFeaturizer(question_tokens, table))
 
 
 class Objectives:

@@ -41,14 +41,14 @@ def test_criterion_1_generalized_update_reductions():
         fids = obj.feature_ids()
         for algo, objective in (("mml", obj.j_mml), ("mmr", obj.j_mmr),
                                 ("maver", obj.j_maver)):
-            ctx = make_context(K, theta, qtokens, table, random.Random(0))
+            ctx = make_context(K, random.Random(0))
             res = generalized_update(parse_update_spec(algo), ctx)
             grads = finite_difference(objective, theta, fids)
             for fid, g in grads.items():
                 assert rel_err(res.delta.get(fid, 0.0), g) < 1e-6, (algo, fid)
-        ctx = make_context(K, theta, qtokens, table, random.Random(0))
+        ctx = make_context(K, random.Random(0))
         d_mml = generalized_update(parse_update_spec("mml"), ctx).delta
-        ctx = make_context(K, theta, qtokens, table, random.Random(0))
+        ctx = make_context(K, random.Random(0))
         d_merit = generalized_update(parse_update_spec("merit:1"), ctx).delta
         assert set(d_mml) == set(d_merit)
         for f in d_mml:
@@ -70,7 +70,7 @@ def test_criterion_2_policy_gradient_identities():
         fids = obj.feature_ids()
 
         # sampled delta equals R(y_hat) * grad log p(y_hat)
-        ctx = make_context(K, theta, qtokens, table, random.Random(5))
+        ctx = make_context(K, random.Random(5))
         res = generalized_update(parse_update_spec("reinforce"), ctx)
         i = res.sampled_index
         pbar = {f: sum(pk * fv.get(f, 0.0) for pk, fv in zip(p, feats))
@@ -95,9 +95,9 @@ def test_criterion_2_policy_gradient_identities():
             assert abs(expectation[j] - grad_j) <= 1e-9 * max(1.0, abs(grad_j))
 
         # off-policy with u = p reproduces the same draw and the same delta
-        ctx_r = make_context(K, theta, qtokens, table, random.Random(5))
+        ctx_r = make_context(K, random.Random(5))
         res_r = generalized_update(parse_update_spec("reinforce"), ctx_r)
-        ctx_o = make_context(K, theta, qtokens, table, random.Random(5))
+        ctx_o = make_context(K, random.Random(5))
         ctx_o.u = list(p)
         res_o = generalized_update(parse_update_spec("offpg"), ctx_o)
         assert res_o.sampled_index == res_r.sampled_index

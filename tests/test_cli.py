@@ -58,6 +58,9 @@ def test_train_writes_checkpoint_and_report(corpus_dir, tmp_path, capsys):
     csv_text = (tmp_path / "report.csv").read_text().splitlines()
     assert csv_text[0].startswith("epoch,dev_accuracy")
     assert len(csv_text) == 3
+    assert csv_text[0] == "epoch,dev_accuracy,train_accuracy,skipped,zero_updates,wall_time"
+    wall_time = csv_text[1].split(",")[-1]
+    assert len(wall_time.split(".")[1]) == 3
 
 
 def test_train_audit_sample_included(corpus_dir, tmp_path):

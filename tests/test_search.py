@@ -262,3 +262,30 @@ def test_narrow_beams_match_eager_reference():
                         assert c.score == pytest.approx(
                             score(c.program, ex.question_tokens, table, theta),
                             abs=1e-9)
+
+
+def test_candidate_set_featurizer_matches_featurize():
+    # the update reads each candidate's features from the featurizer the
+    # search returns, so they must be featurize's, key order included
+    lex = default_lexicon()
+    theta = ParamVector({"recall": -1.0, f"act={P.SELECT}": 0.5, f"act={P.EQ}": -0.1})
+    positions = set()
+    for corpus_seed in (3, 7):
+        corpus = generate_corpus(SynthConfig(sequences=3, seed=corpus_seed))
+        for seq in corpus.sequences:
+            for ex in seq:
+                positions.add(ex.position)
+                table = corpus.tables[ex.table_ref]
+                prev = seq[ex.position - 1].gold_answer if ex.position else None
+                for lam in (0.0, math.inf):
+                    for shaping in (False, True):
+                        cfg = SearchConfig(beam_size=8, max_actions=5, lambda_weight=lam,
+                                           shaping_enabled=shaping)
+                        K = beam_search(ex, table, theta, lex, cfg, prev)
+                        assert K
+                        for c in K:
+                            got = K.featurizer.featurize(c.program)
+                            want = featurize(c.program, ex.question_tokens, table)
+                            assert got == want and list(got) == list(want), \
+                                (ex.sequence_id, ex.position, c.serialization)
+    assert positions == {0, 1, 2}

@@ -9,8 +9,8 @@ from denoparse.scorer import ParamVector
 from denoparse.search import SearchConfig, beam_search
 from denoparse.tables import AnswerSet, Example
 from denoparse.training import (EpochStats, TrainConfig, TrainHistory, TrainingError,
-                                evaluate, split_sequences, spurious_audit, stability, train,
-                                _initial_theta)
+                                evaluate, run_report, split_sequences, spurious_audit,
+                                stability, train, _initial_theta)
 from denoparse.updates import generalized_update, make_context, parse_update_spec
 
 from conftest import example_for, make_table
@@ -75,7 +75,7 @@ def test_update_is_exactly_learning_rate_times_delta():
     # recompute the single update by hand from the initial parameters
     init = _initial_theta(cfg)
     K = beam_search(ex, tables["t0"], init, None, cfg.search)
-    ctx = make_context(K, init, ex.question_tokens, tables["t0"], random.Random(cfg.seed))
+    ctx = make_context(K, random.Random(cfg.seed))
     res = generalized_update(cfg.update_spec, ctx)
     want = dict(init.weights)
     for f, v in res.delta.items():
@@ -108,6 +108,20 @@ def test_stability_arithmetic():
     assert stability(history_with([0.5, 0.5, 0.5])) == 0.0
     with pytest.raises(ValueError):
         stability(history_with([0.5]))
+
+
+def test_run_report_summarizes_history():
+    h = history_with([0.40, 0.42])
+    h.epochs[1].skipped, h.epochs[1].zero_updates = 2, 3
+    h.best_epoch = 1
+    report = run_report(h, ParamVector({"a": 1.0, "b": 2.0}))
+    assert report == {
+        "history": h.to_dict(), "final_accuracy": 0.42,
+        "stability": pytest.approx(0.02), "skipped_total": 2,
+        "zero_updates_total": 3, "n_weights": 2}
+    assert list(report["history"]["epochs"][0]) == [
+        "dev_accuracy", "train_accuracy", "skipped", "zero_updates", "wall_time"]
+    assert run_report(history_with([0.5]), ParamVector())["stability"] is None
 
 
 def test_evaluate_requires_examples():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from denoparse import programs as P
-from denoparse.scorer import ParamVector, featurize, softmax
+from denoparse.scorer import ActionFeaturizer, featurize, softmax
 from denoparse.tables import AnswerSet
 from denoparse.updates import (NonFiniteUpdateError, UpdateContext, UpdateSpecError,
                                competing, exploration_distribution, generalized_update,
@@ -30,9 +30,8 @@ def ctx_from_scores(scores, rewards, compatible_flags, rng=None):
         entries.append(Candidate(prog, f"p{i:02d}", s, r, 0.0, ok,
                                  AnswerSet.from_texts([str(i)])))
     from denoparse.search import CandidateSet
-    K = CandidateSet(entries)
-    return UpdateContext(K, ParamVector(), ("q",), table,
-                         rng or random.Random(0), list(scores), list(rewards))
+    K = CandidateSet(entries, ActionFeaturizer(("q",), table))
+    return UpdateContext(K, rng or random.Random(0), list(scores), list(rewards))
 
 
 def test_parse_update_spec_canonical_pairs():
@@ -162,7 +161,7 @@ def micro(seed, **kw):
 
 def test_mmr_delta_is_reference_minus_most_violating():
     qtokens, table, K, theta, rng = micro(21)
-    ctx = make_context(K, theta, qtokens, table, rng)
+    ctx = make_context(K, rng)
     res = generalized_update(parse_update_spec("mmr"), ctx)
     if res.zero or res.skipped:
         return
@@ -189,7 +188,7 @@ def test_deltas_match_finite_differences(algo, objective):
         obj = Objectives(K, qtokens, table)
         if algo != "mml" and not margin_structure_stable(obj, theta):
             continue
-        ctx = make_context(K, theta, qtokens, table, rng)
+        ctx = make_context(K, rng)
         res = generalized_update(parse_update_spec(algo), ctx)
         fn = getattr(obj, objective)
         grads = finite_difference(fn, theta, obj.feature_ids())
@@ -200,7 +199,7 @@ def test_deltas_match_finite_differences(algo, objective):
 
 def test_reinforce_matches_log_policy_gradient_expansion():
     qtokens, table, K, theta, rng = micro(33)
-    ctx = make_context(K, theta, qtokens, table, rng)
+    ctx = make_context(K, rng)
     res = generalized_update(parse_update_spec("reinforce"), ctx)
     i = res.sampled_index
     p = softmax(ctx.scores)
@@ -237,9 +236,9 @@ def test_reinforce_expectation_equals_expected_reward_gradient():
 def test_offpolicy_with_u_equal_p_is_reinforce():
     qtokens, table, K, theta, _ = micro(35)
     p_list = softmax([c.score for c in K.entries])
-    ctx1 = make_context(K, theta, qtokens, table, random.Random(99))
+    ctx1 = make_context(K, random.Random(99))
     res1 = generalized_update(parse_update_spec("reinforce"), ctx1)
-    ctx2 = make_context(K, theta, qtokens, table, random.Random(99))
+    ctx2 = make_context(K, random.Random(99))
     ctx2.u = p_list
     res2 = generalized_update(parse_update_spec("offpg"), ctx2)
     assert res1.sampled_index == res2.sampled_index
@@ -284,11 +283,11 @@ def test_shift_invariance_of_matched_updates():
     qtokens, table, K, theta, rng = micro(44)
     for name in ("mml", "merit:0.5", "maver", "mmr"):
         spec = parse_update_spec(name)
-        ctx = make_context(K, theta, qtokens, table, random.Random(7))
+        ctx = make_context(K, random.Random(7))
         base = generalized_update(spec, ctx)
         shifted_features = [dict(featurize(c.program, qtokens, table),
                                  __bias__=1.0) for c in K.entries]
-        ctx2 = replace(make_context(K, theta, qtokens, table, random.Random(7)),
+        ctx2 = replace(make_context(K, random.Random(7)),
                        _features=shifted_features)
         shifted = generalized_update(spec, ctx2)
         for f in set(base.delta) | set(shifted.delta) - {"__bias__"}:
@@ -302,7 +301,7 @@ def test_intensities_nonnegative_and_competing_normalized():
         qtokens, table, K, theta, rng = micro(seed)
         for name in ("mml", "merit:2", "reinforce", "offpg", "mmr", "maver"):
             spec = parse_update_spec(name)
-            ctx = make_context(K, theta, qtokens, table, random.Random(seed))
+            ctx = make_context(K, random.Random(seed))
             w, res = intensity(spec, ctx)
             if w is None:
                 continue
@@ -314,7 +313,7 @@ def test_intensities_nonnegative_and_competing_normalized():
 
 def test_non_finite_update_raises():
     qtokens, table, K, theta, rng = micro(61)
-    ctx = replace(make_context(K, theta, qtokens, table, rng),
+    ctx = replace(make_context(K, rng),
                   _features=[{f: math.inf for f in feats} if i == 0 else feats
                              for i, feats in enumerate(
                                  featurize(c.program, qtokens, table) for c in K.entries)])
