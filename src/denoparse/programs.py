@@ -17,7 +17,9 @@ the fewest actions still needed to reach Stop are derived from it.
 Execution is written once too: `step` advances an execution state by one
 action, `answer_values`/`answer` project a state onto the answer, and
 `execute` is a fold of `step`. The search calls the same `step` for every
-child it rates, with one ExecContext per search.
+child it rates, with one ExecContext per search. Row sets are `int`
+bitmasks, bit r standing for row r, so a clause is an `&` and an OR arm an
+`|`; `answer` builds the answer's `frozenset`s.
 """
 from __future__ import annotations
 
@@ -366,68 +368,74 @@ def parse(line: str, table: Table) -> ProgramState:
 
 # --- execution ----------------------------------------------------------
 
-def match_rows(action: Action, table: Table, rows: frozenset[int]) -> frozenset[int]:
-    """Rows of `rows` satisfying one condition. Extrema are taken within
-    `rows`, so a MAX after another filter is the maximum of the survivors."""
+def row_indices(rows: int) -> list[int]:
+    """The rows of a mask, ascending: the 1s of its binary digits read from
+    the lowest."""
+    return [r for r, bit in enumerate(bin(rows)[:1:-1]) if bit == "1"]
+
+
+def match_rows(action: Action, table: Table, rows: int) -> int:
+    """The mask of rows of `rows` satisfying one condition. Extrema are
+    taken within `rows`, so a MAX after another filter is the maximum of
+    the survivors."""
     col = action.column
     kind = action.kind
     norm = table.normalized_column_values[col]
     if kind == EQ:
         v = normalize_answer(action.value)
-        return frozenset(r for r in rows if norm[r] == v)
+        return sum([1 << r for r in row_indices(rows) if norm[r] == v])
     if kind == NEQ:
         v = normalize_answer(action.value)
-        return frozenset(r for r in rows if norm[r] != v)
+        return sum([1 << r for r in row_indices(rows) if norm[r] != v])
+    numeric = [(table.cells[r][col].numeric, r) for r in row_indices(rows)
+               if table.cells[r][col].numeric is not None]
     if kind in (GT, LT):
         x = parse_number(action.value)
         if x is None:
-            return frozenset()
+            return 0
         if kind == GT:
-            return frozenset(r for r in rows
-                             if table.cells[r][col].numeric is not None
-                             and table.cells[r][col].numeric > x)
-        return frozenset(r for r in rows
-                         if table.cells[r][col].numeric is not None
-                         and table.cells[r][col].numeric < x)
+            return sum([1 << r for v, r in numeric if v > x])
+        return sum([1 << r for v, r in numeric if v < x])
     # MAX / MIN
-    numeric = [(table.cells[r][col].numeric, r) for r in rows
-               if table.cells[r][col].numeric is not None]
     if not numeric:
-        return frozenset()
+        return 0
     pick = max(v for v, _ in numeric) if kind == MAX else min(v for v, _ in numeric)
-    return frozenset(r for v, r in numeric if v == pick)
+    return sum([1 << r for v, r in numeric if v == pick])
 
 
 class ExecContext:
     """What executing on one table after one previous answer needs, built
-    once: every row, the previous answer's cells clipped to the table (None
-    without a previous answer), their rows, and the row FPCELL reads.
+    once: the mask of every row, the previous answer's cells clipped to the
+    table (None without a previous answer), the mask of their rows, and the
+    mask of the row FPCELL reads.
 
     An execution state is the tuple (phase, condition count, head, base,
-    rows): `head` is the head action, `rows` the rows the clauses so far
-    keep, and `base` the rows the latest clause filtered, which the second
-    arm of an OR filters too. While an OR waits for that arm, `rows` holds
-    the first arm's rows."""
+    rows): `head` is the head action, `rows` the mask of rows the clauses
+    so far keep, and `base` the mask of rows the latest clause filtered,
+    which the second arm of an OR filters too. While an OR waits for that
+    arm, `rows` holds the first arm's rows."""
 
     __slots__ = ("table", "all_rows", "prev_coords", "prev_rows", "fp_rows",
                  "start", "_condition_rows")
 
     def __init__(self, table: Table, prev_answer: AnswerSet | None = None):
         self.table = table
-        self.all_rows = frozenset(range(table.row_count))
+        self.all_rows = (1 << table.row_count) - 1
         self.prev_coords = None
-        self.prev_rows = self.fp_rows = frozenset()
+        self.prev_rows = self.fp_rows = 0
         if prev_answer is not None:
             self.prev_coords = frozenset(
                 (r, c) for r, c in (prev_answer.coords or frozenset())
                 if r < table.row_count and c < table.col_count)
-            self.prev_rows = frozenset(r for r, _ in self.prev_coords)
+            for r, _ in self.prev_coords:
+                self.prev_rows |= 1 << r
             if len(self.prev_coords) == 1:
-                self.fp_rows = frozenset({next(iter(self.prev_coords))[0]})
+                self.fp_rows = self.prev_rows
         self.start = ("empty", 0, None, self.all_rows, self.all_rows)
-        # id(action) -> (action, rows of the whole table satisfying it); the
-        # stored action keeps its id from being reused while the entry lives
-        self._condition_rows: dict[int, tuple[Action, frozenset[int]]] = {}
+        # (id(action), scope) -> (action, mask of the scope's rows satisfying
+        # it); the stored action keeps its id from being reused while the
+        # entry lives
+        self._condition_rows: dict[tuple[int, int], tuple[Action, int]] = {}
 
 
 def step(ctx: ExecContext, state: tuple, action: Action) -> tuple:
@@ -438,14 +446,14 @@ def step(ctx: ExecContext, state: tuple, action: Action) -> tuple:
     if kind in CONDITION_KINDS:
         if phase != "or":
             base = rows  # a fresh clause filters the survivors so far
-        if kind == MAX or kind == MIN:
-            sub = match_rows(action, ctx.table, base)
-        else:  # a fixed row set, narrowed to the clause's scope
-            hit = ctx._condition_rows.get(id(action))
-            if hit is None:
-                hit = ctx._condition_rows[id(action)] = (
-                    action, match_rows(action, ctx.table, ctx.all_rows))
-            sub = hit[1] & base
+        # an extremum depends on its scope; any other condition keeps a
+        # fixed row set, narrowed to the scope
+        scope = base if kind == MAX or kind == MIN else ctx.all_rows
+        hit = ctx._condition_rows.get((id(action), scope))
+        if hit is None:
+            hit = ctx._condition_rows[id(action), scope] = (
+                action, match_rows(action, ctx.table, scope))
+        sub = hit[1] & base
         return nxt, count + 1, head, base, (rows | sub if phase == "or" else sub)
     if kind == SELECT:
         return nxt, count, action, ctx.all_rows, ctx.all_rows
@@ -457,31 +465,36 @@ def step(ctx: ExecContext, state: tuple, action: Action) -> tuple:
     return nxt, count, head, base, rows  # OR and Stop keep the rows
 
 
+def answer_rows(state: tuple) -> int:
+    """The mask of rows a state's answer reads. A trailing open OR clause
+    has not run, so its scope stays."""
+    phase, _, _, base, rows = state
+    return base if phase == "or" else rows
+
+
 def answer_values(ctx: ExecContext, state: tuple) -> frozenset[str]:
-    """Normalized values of a state's answer: the head's cells in the rows
-    kept so far. A trailing open OR clause has not run, so its scope stays."""
-    phase, _, head, base, rows = state
-    if phase == "or":
-        rows = base
+    """Normalized values of a state's answer: the head's cells in its
+    answer rows."""
+    head, rows = state[2], answer_rows(state)
     norm = ctx.table.normalized_column_values
     if head.kind == FOLLOWUP:
-        return frozenset(norm[c][r] for r, c in ctx.prev_coords if r in rows)
+        return frozenset(norm[c][r] for r, c in ctx.prev_coords if rows >> r & 1)
     col = norm[head.column]
-    return frozenset(col[r] for r in rows)
+    return frozenset(col[r] for r in row_indices(rows))
 
 
 def answer(ctx: ExecContext, state: tuple) -> AnswerSet:
-    """A state's answer, with the cells its values come from."""
-    phase, _, head, base, rows = state
+    """A state's answer: the cells it reads and their normalized values,
+    which are `answer_values`."""
+    head, rows = state[2], answer_rows(state)
     if head is None:
         return EMPTY_ANSWER
-    if phase == "or":
-        rows = base
     if head.kind == FOLLOWUP:
-        coords = frozenset(rc for rc in ctx.prev_coords if rc[0] in rows)
+        coords = frozenset(rc for rc in ctx.prev_coords if rows >> rc[0] & 1)
     else:
-        coords = frozenset((r, head.column) for r in rows)
-    return AnswerSet(answer_values(ctx, state), coords)
+        coords = frozenset((r, head.column) for r in row_indices(rows))
+    norm = ctx.table.normalized_column_values
+    return AnswerSet(frozenset(norm[c][r] for r, c in coords), coords)
 
 
 def execute(state: ProgramState, table: Table, prev_answer: AnswerSet | None = None) -> AnswerSet:

@@ -17,6 +17,9 @@ execution are not copied here: a state's legal kinds come from
 `programs.legal_kinds`, which reads the grammar table and prunes children
 that cannot reach Stop within the action and condition budgets, and its
 rows come from `programs.step` over one `programs.ExecContext` per search.
+A partial reward depends only on the head and the answer rows, so each
+search projects and scores one Jaccard per distinct (head, answer rows)
+and reads it back for every other state with the same pair.
 
 Each search prepares every action of the table once, from parts shared
 across actions. One `scorer.ActionFeaturizer` per search builds each
@@ -29,9 +32,10 @@ mask and co-occurrence weights once per kind.
 
 Children are ranked before they are built. Expanding a state gives each
 legal child a numeric rank value, `rank_key` without its serialization
-tie-break: the score from the action's precomputed feature dot product
-and the recall term, the critique from token bitmasks only when shaping
-puts it in the key, and the partial reward only when lambda is not 0.
+tie-break, from the one rank function `rank_value(config)` picks for the
+search: the score from the action's precomputed feature dot product and
+the recall term, the critique from token bitmasks only when shaping puts
+it in the key, and the partial reward only when lambda is not 0.
 `heapq.nsmallest` finds the beam_size-th smallest value; every child at
 or below it stays in the running, so children tied at the cut are then
 told apart by serialization, which is built only for them. Sorting those
@@ -112,20 +116,25 @@ class CandidateSet:
         return bool(self.entries)
 
 
-def rank_value(reward: float, score: float, critique: float, config: SearchConfig):
-    """`rank_key` without its serialization tie-break: a float, or a pair
-    at lambda = inf. The critique is read only when shaping is enabled."""
-    s = score + config.eta * critique if config.shaping_enabled else score
-    if config.lambda_weight == math.inf:
-        return (-reward, -s)
-    return -(config.lambda_weight * reward + s)
+def rank_value(config: SearchConfig):
+    """The function of (reward, score, critique) that gives `rank_key`
+    without its serialization tie-break: a float, or a pair at lambda =
+    inf. The critique is read only when shaping is enabled."""
+    lam, eta = config.lambda_weight, config.eta
+    if config.shaping_enabled:
+        if lam == math.inf:
+            return lambda reward, score, critique: (-reward, -(score + eta * critique))
+        return lambda reward, score, critique: -(lam * reward + (score + eta * critique))
+    if lam == math.inf:
+        return lambda reward, score, critique: (-reward, -score)
+    return lambda reward, score, critique: -(lam * reward + score)
 
 
 def rank_key(serialization: str, reward: float, score: float, critique: float,
              config: SearchConfig):
     """Sort key: ascending sort yields the declared descending-numeric,
     ascending-serialization order."""
-    return (rank_value(reward, score, critique, config), serialization)
+    return (rank_value(config)(reward, score, critique), serialization)
 
 
 class _Hyp:
@@ -167,6 +176,7 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
     w_recall = theta.get(RECALL_FEATURE)
     use_reward = config.lambda_weight != 0.0 and gold is not None
     shaping = config.shaping_enabled
+    rank = rank_value(config)
     gold_values = gold.values if gold is not None else None
 
     ctx = P.ExecContext(table, prev_answer)
@@ -232,13 +242,21 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
     pre_stop = prepare(P.Action(P.STOP))
     pre_kind[P.STOP] = [pre_stop]
 
+    # (head column, answer rows) -> Jaccard of that answer against the gold
+    # answer. The column stands for the head: FOLLOWUP's is None, and SELECT
+    # and FPCELL of one column project the same rows alike.
+    jaccards: dict[tuple, float] = {}
+
     def partial_reward(state) -> float:
         """Jaccard of a state's partial execution against the gold answer."""
-        values = P.answer_values(ctx, state)
-        if not values and not gold_values:
-            return 1.0
-        inter = len(values & gold_values)
-        return inter / (len(values) + len(gold_values) - inter)
+        key = (state[2].column, P.answer_rows(state))
+        reward = jaccards.get(key)
+        if reward is None:
+            values = P.answer_values(ctx, state)
+            inter = len(values & gold_values)
+            union = len(values) + len(gold_values) - inter
+            reward = jaccards[key] = inter / union if union else 1.0
+        return reward
 
     root = _Hyp(actions=(), ser="", state=ctx.start, used=0,
                 score=(w_recall if e1_len else 0.0), nonkw=0, keywords=0, cooccur=0,
@@ -290,7 +308,7 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
             critique = critique_parts(hyp, pre)[2] if shaping else 0.0
             reward = (partial_reward(P.step(ctx, h_state, pre.action))
                       if use_reward else 0.0)
-            values.append(rank_value(reward, score, critique, config))
+            values.append(rank(reward, score, critique))
             pending.append((hyp, pre, score))
 
     def make_child(hyp: _Hyp, pre: _Pre, score: float) -> _Hyp:

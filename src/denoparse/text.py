@@ -9,8 +9,15 @@ from __future__ import annotations
 import re
 
 # Lowercase word/number tokens. Decimal numerals ("3.5") survive as one
-# token; all other punctuation splits.
-_TOKEN_RE = re.compile(r"\d+\.\d+|[a-z0-9]+")
+# token, and so does a number standing alone with a sign that follows no
+# word character ("-5", but "2010-11" is two tokens) or with comma-grouped
+# thousands ("1,000"), so that `parse_number` reads it whole. All other
+# punctuation splits.
+_TOKEN_RE = re.compile(r"""
+    (?: (?<!\w) [+-] (?: \d{1,3} (?:,\d{3})+ | \d+ )   # signed
+      | \d{1,3} (?:,\d{3})+ )                         # or comma-grouped
+    (?: \.\d+ )? (?![a-z0-9])                         # and standing alone
+  | \d+\.\d+ | [a-z0-9]+""", re.VERBOSE)
 
 # Plain decimal with optional sign and optional comma thousands-separators.
 # No dates, no currency, no units.

@@ -346,3 +346,36 @@ def test_followup_matches_oracle_interpreter(squad_table):
         mine = P.execute(p, squad_table, prev)
         ref = oracle_execute(p, squad_table, prev)
         assert mine.values == ref.values and mine.coords == ref.coords
+
+
+def test_executor_matches_oracle_on_wide_tables_and_partial_states():
+    """Row masks wider than 64 bits, every prefix of sampled programs (open
+    OR clauses included), and previous answers partly outside the table."""
+    rng = random.Random(17)
+    names = ["amber", "basil", "cedar", "dune"]
+    t = make_table("wide", ("Name", "Points", "Goals"), [
+        (rng.choice(names),
+         "n/a" if rng.random() < 0.1 else str(rng.randint(1, 6)),
+         str(rng.randint(1, 4)))
+        for _ in range(72)])
+    inside = {(r, 1) for r in rng.sample(range(72), 20)} | {(70, 2), (66, 0)}
+    outside = {(72, 1), (90, 0), (3, 3), (71, 7)}
+    settings = [(0, None),
+                (1, AnswerSet(frozenset(), frozenset(inside | outside))),
+                (1, AnswerSet(frozenset(), frozenset({(66, 0)} | outside)))]
+    high_rows = open_ors = 0
+    heads = set()
+    for position, prev in settings:
+        programs = P.enumerate_programs(t, position, 2, ("3",))
+        fpcell = [p for p in programs if p.actions[0].kind == P.FPCELL]
+        for p in rng.sample(programs, 40) + fpcell:
+            heads.add(p.actions[0].kind)
+            for k in range(1, len(p.actions) + 1):
+                state = P.ProgramState(p.actions[:k], k == len(p.actions))
+                mine = P.execute(state, t, prev)
+                ref = oracle_execute(state, t, prev)
+                assert (mine.values, mine.coords) == (ref.values, ref.coords), \
+                    P.serialize(state, t)
+                high_rows += any(r >= 64 for r, _ in mine.coords)
+                open_ors += state.actions[-1].kind == P.OR
+    assert high_rows and open_ors and heads == set(P.HEAD_KINDS)

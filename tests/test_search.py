@@ -289,3 +289,29 @@ def test_candidate_set_featurizer_matches_featurize():
                             assert got == want and list(got) == list(want), \
                                 (ex.sequence_id, ex.position, c.serialization)
     assert positions == {0, 1, 2}
+
+
+def test_search_projects_each_head_and_rows_once(monkeypatch):
+    # a partial reward depends only on the head and the answer rows, so a
+    # search projects each such pair onto the answer at most once
+    corpus = generate_corpus(SynthConfig(sequences=2, seed=5))
+    seq = corpus.sequences[0]
+    ex, prev = seq[1], seq[0].gold_answer
+    table = corpus.tables[ex.table_ref]
+    theta = ParamVector({"recall": -1.0, f"act={P.SELECT}": 0.5, f"act={P.EQ}": -0.1})
+    cfg = SearchConfig(beam_size=8, max_actions=5, lambda_weight=math.inf)
+    want = beam_search(ex, table, theta, default_lexicon(), cfg, prev)
+
+    projected = []
+    answer_values = P.answer_values
+
+    def spy(ctx, state):
+        phase, _, head, base, rows = state
+        projected.append((head, base if phase == "or" else rows))
+        return answer_values(ctx, state)
+
+    monkeypatch.setattr(P, "answer_values", spy)
+    got = beam_search(ex, table, theta, default_lexicon(), cfg, prev)
+    assert projected and len(projected) == len(set(projected))
+    assert {h.kind for h, _ in projected} >= {P.SELECT, P.FOLLOWUP}
+    assert got.entries == want.entries

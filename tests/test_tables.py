@@ -12,6 +12,24 @@ def test_tokenize_lowercases_and_splits_punctuation():
         "which", "team", "had", "21.5", "losses"]
 
 
+def test_tokenize_keeps_signed_and_grouped_numbers():
+    assert tokenize("more than -5 and over 1,000") == [
+        "more", "than", "-5", "and", "over", "1,000"]
+    assert tokenize("(+2.5) and -1,234.5!") == ["+2.5", "and", "-1,234.5"]
+    # a sign after a word character is a hyphen, and word-like runs stay whole
+    assert tokenize("2010-11 x-5 3rd 1,0000") == ["2010", "11", "x", "5", "3rd", "1", "0000"]
+
+
+@given(st.integers(-10**12, 10**12), st.sampled_from(["{}", "{:+d}", "{:,}"]),
+       st.sampled_from(["{}", "Who scored {} points?", "more than {}, or less",
+                        "between (x) and {}."]))
+def test_question_numbers_round_trip(n, form, sentence):
+    from conftest import example_for, make_table
+    question = sentence.format(form.format(n))
+    ex = example_for(make_table("t", ("A",), [("a",)]), question, [])
+    assert [parse_number(t) for t in ex.question_numbers] == [n]
+
+
 def test_parse_number():
     assert parse_number("21") == 21.0
     assert parse_number("-3.5") == -3.5
