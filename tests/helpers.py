@@ -157,7 +157,7 @@ def reference_beam_search(example, table: Table, theta: ParamVector, lexicon,
     product, less the recall weight times the share of the question's
     table tokens the action newly covers: `featurize` summed action by
     action, which is the order the search adds it in, so equal scores
-    stay equal.
+    stay equal. Its `ranked` counts every legal incomplete child.
     """
     q = example.question_tokens
     numbers = tuple(example.question_numbers)
@@ -178,6 +178,7 @@ def reference_beam_search(example, table: Table, theta: ParamVector, lexicon,
 
     beam = [(P.EMPTY_STATE, w_recall if e1 else 0.0)]
     pool: dict[str, Candidate] = {}
+    ranked = 0  # every legal incomplete child is ranked
     for step in range(config.max_actions):
         children = []
         for state, score in beam:
@@ -202,13 +203,14 @@ def reference_beam_search(example, table: Table, theta: ParamVector, lexicon,
                     r = reward(child) if config.lambda_weight != 0.0 else 0.0
                     children.append((rank_key(ser(child), r, s, crit, config),
                                      child, s))
+        ranked += len(children)
         if not children:
             break
         children.sort(key=lambda c: c[0])
         beam = [(child, s) for _, child, s in children[:config.beam_size]]
     entries = sorted(pool.values(), key=lambda c: rank_key(
         c.serialization, c.reward, c.score, c.critique, config))
-    return CandidateSet(entries[:config.beam_size], ActionFeaturizer(q, table))
+    return CandidateSet(entries[:config.beam_size], ActionFeaturizer(q, table), ranked)
 
 
 # --- finite differences ---------------------------------------------------

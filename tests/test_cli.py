@@ -181,3 +181,10 @@ def test_bad_update_spec_fails_cleanly(corpus_dir, tmp_path, capsys):
     rc = run(train_args(corpus_dir, tmp_path, algo="nonsense"))
     assert rc == 1
     assert "nonsense" in capsys.readouterr().err
+
+
+def test_negative_condition_budget_is_a_usage_error(corpus_dir, tmp_path, capsys):
+    rc = run(train_args(corpus_dir, tmp_path, **{"max-conditions": "-1"}))
+    assert rc == 1
+    assert "max_conditions must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "model.tsv").exists()

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -200,6 +201,9 @@ def test_search_config_validation():
         SearchConfig(lambda_weight=-1.0).validate()
     with pytest.raises(ValueError):
         SearchConfig(max_actions=1).validate()
+    with pytest.raises(ValueError, match="max_conditions must be >= 0"):
+        SearchConfig(max_conditions=-1).validate()
+    SearchConfig(max_conditions=0).validate()
 
 
 def test_dump_record_shape(squad_table):
@@ -314,4 +318,62 @@ def test_search_projects_each_head_and_rows_once(monkeypatch):
     got = beam_search(ex, table, theta, default_lexicon(), cfg, prev)
     assert projected and len(projected) == len(set(projected))
     assert {h.kind for h, _ in projected} >= {P.SELECT, P.FOLLOWUP}
+    assert got.entries == want.entries
+
+
+def _followup_case():
+    """A synth follow-up example, its table, weights and previous answer."""
+    corpus = generate_corpus(SynthConfig(sequences=2, seed=5))
+    seq = corpus.sequences[0]
+    ex = seq[1]
+    theta = ParamVector({"recall": -1.0, f"act={P.SELECT}": 0.5, f"act={P.EQ}": -0.1})
+    return ex, corpus.tables[ex.table_ref], theta, seq[0].gold_answer
+
+
+def test_reward_floor_ranks_fewer_children_at_lambda_inf():
+    # at lambda = inf only children at or above the beam_size-th best
+    # reward can survive, so the rest get no rank value; the survivors and
+    # the candidates stay those of the eager search that ranks every child
+    ex, table, theta, prev = _followup_case()
+    lex = default_lexicon()
+    for shaping in (False, True):
+        cfg = SearchConfig(beam_size=4, max_actions=5, lambda_weight=math.inf,
+                           shaping_enabled=shaping)
+        got = beam_search(ex, table, theta, lex, cfg, prev)
+        want = reference_beam_search(ex, table, theta, lex, cfg, prev)
+        assert want.ranked > cfg.beam_size
+        assert 0 < got.ranked < want.ranked
+        assert got.entries == want.entries
+    # without a floor every legal incomplete child is ranked
+    cfg = SearchConfig(beam_size=4, max_actions=5, lambda_weight=0.0)
+    assert beam_search(ex, table, theta, lex, cfg, prev).ranked == \
+        reference_beam_search(ex, table, theta, lex, cfg, prev).ranked
+
+
+def test_ranking_steps_each_parent_rows_and_action_once(monkeypatch):
+    # parents that differ only in head or condition count share their
+    # children's rows, so ranking steps each (phase, base, rows, action)
+    # at most once per search; make_child steps again only to build a
+    # survivor or a completed program
+    ex, table, theta, prev = _followup_case()
+    cfg = SearchConfig(beam_size=8, max_actions=5, lambda_weight=math.inf,
+                       shaping_enabled=True)
+    want = beam_search(ex, table, theta, default_lexicon(), cfg, prev)
+
+    ranking = []
+    step = P.step
+
+    def spy(ctx, state, action):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "make_child":
+            frame = frame.f_back
+        if frame is None:
+            phase, _, _, base, rows = state
+            ranking.append((phase, base, rows, action))
+        return step(ctx, state, action)
+
+    monkeypatch.setattr(P, "step", spy)
+    got = beam_search(ex, table, theta, default_lexicon(), cfg, prev)
+    assert len(ranking) > cfg.beam_size
+    assert len(ranking) == len(set(ranking))
     assert got.entries == want.entries

@@ -4,19 +4,20 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from denoparse import programs as P
-from denoparse.scorer import ActionFeaturizer, featurize, softmax
+from denoparse.scorer import ActionFeaturizer, ParamVector, featurize, softmax
 from denoparse.tables import AnswerSet
-from denoparse.updates import (NonFiniteUpdateError, UpdateContext, UpdateSpecError,
-                               competing, exploration_distribution, generalized_update,
+from denoparse.updates import (CANONICAL_SPECS, NonFiniteUpdateError, UpdateContext,
+                               UpdateSpecError, competing, exploration_distribution, generalized_update,
                                intensity, make_context, most_violating_index,
                                parse_update_spec, reference_index, reward,
                                sample_from, violation_indices)
 
 from conftest import make_table
-from helpers import (Objectives, finite_difference, margin_structure_stable,
-                     random_micro_instance, rel_err)
+from helpers import (Objectives, candidate_set, finite_difference,
+                     margin_structure_stable, random_micro_instance, rel_err)
 
 
 def ctx_from_scores(scores, rewards, compatible_flags, rng=None):
@@ -319,3 +320,34 @@ def test_non_finite_update_raises():
                                  featurize(c.program, qtokens, table) for c in K.entries)])
     with pytest.raises((NonFiniteUpdateError, ValueError)):
         generalized_update(parse_update_spec("mml"), ctx)
+
+
+_ZOO_TABLE = make_table("zoo", ("Club", "Losses"), [
+    ("Harlequins", "25"), ("Saracens", "21"), ("Wasps", "10")])
+_ZOO_GOLD = AnswerSet.from_texts(["Harlequins"], coords={(0, 0)})
+_ZOO_QUESTION = ("which", "club", "had", "more", "than", "21", "losses")
+_ZOO_PROGRAMS = P.enumerate_programs(_ZOO_TABLE, 0, 1, ("21",))[:12]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(min_value=-3.0, max_value=6.0),
+       st.lists(st.tuples(st.floats(min_value=-1.0, max_value=1.0),
+                          st.floats(min_value=0.0, max_value=1.0), st.booleans()),
+                min_size=1, max_size=len(_ZOO_PROGRAMS)),
+       st.integers(0, 2**32 - 1))
+def test_updates_are_finite_or_named_errors_at_extreme_scales(log_scale, draws, seed):
+    # scores from 1e-3 to 1e6 in size: every update either returns finite
+    # deltas or raises NonFiniteUpdateError, never a NaN or another error
+    base = candidate_set(_ZOO_PROGRAMS[:len(draws)], _ZOO_QUESTION, _ZOO_TABLE,
+                         ParamVector(), _ZOO_GOLD)
+    scale = 10.0 ** log_scale
+    entries = [replace(c, score=x * scale, reward=r, compatible=ok)
+               for c, (x, r, ok) in zip(base.entries, draws)]
+    K = replace(base, entries=entries)
+    for spec in CANONICAL_SPECS + ("merit:inf", "mix:mmr,mml", "mix:offpg,maver"):
+        try:
+            res = generalized_update(parse_update_spec(spec),
+                                     make_context(K, random.Random(seed)))
+        except NonFiniteUpdateError:
+            continue
+        assert all(math.isfinite(v) for v in res.delta.values()), (spec, res.delta)
