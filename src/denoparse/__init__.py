@@ -13,12 +13,12 @@ from .tables import (AnswerSet, Cell, Example, Table, exact_match, jaccard,
                      load_dataset, load_table)
 from .programs import (Action, Program, ProgramState, enumerate_programs, execute,
                        is_spurious, legal_actions, parse, serialize)
-from .scorer import ParamVector, boltzmann, featurize, score, score_gradient
+from .scorer import ParamVector, featurize, score
 from .critique import (Lexicon, co_occur_score, critique_policy, default_lexicon,
                        load_lexicon, match_score, shape)
 from .search import Candidate, CandidateSet, SearchConfig, beam_search, rank_key
 from .updates import (UpdateSpec, exploration_distribution, generalized_update,
-                      make_context, parse_update_spec, reward, sample_from)
+                      make_context, parse_update_spec, sample_from)
 from .training import (TrainConfig, TrainHistory, evaluate, spurious_audit,
                        stability, train)
 from .synth import SynthConfig, generate_corpus, measure_ambiguity, write_corpus

@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .critique import LexiconError, ShapingError, default_lexicon, load_lexicon
+from .critique import LexiconError, default_lexicon, load_lexicon
 from .scorer import ParamVector
 from .search import SearchConfig, beam_search, dump_record
 from .synth import SynthConfig, generate_corpus, measure_ambiguity, write_corpus
@@ -78,7 +78,6 @@ _OPTIONS = {
         "checkpoint": (str, None, "checkpoint to evaluate"),
         "model-shaping": (_bool_flag, "off", "rank with score + eta*critique (ablation)"),
         "predictions": (str, None, "optional per-example predictions JSONL"),
-        "dump-beams": (str, None, "optional JSONL dump of each example's final beam"),
         **_COMMON,
     },
     "audit": {
@@ -106,17 +105,16 @@ _OPTIONS = {
 }
 
 
-def _build_parser(suppress_defaults: bool) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="denoparse",
         description="learn table-question programs from answers alone")
     subs = parser.add_subparsers(dest="command", required=True)
     for cmd, options in _OPTIONS.items():
         sub = subs.add_parser(cmd)
-        for name, (typ, default, help_text) in options.items():
+        for name, (typ, _, help_text) in options.items():
             sub.add_argument(f"--{name}", dest=name.replace("-", "_"), type=typ,
-                             default=argparse.SUPPRESS if suppress_defaults else default,
-                             help=help_text)
+                             default=argparse.SUPPRESS, help=help_text)
     return parser
 
 
@@ -139,7 +137,7 @@ def _read_config_file(path: str, options: dict) -> dict:
 
 
 def _resolve_args(argv) -> argparse.Namespace | int:
-    explicit = vars(_build_parser(True).parse_args(argv))
+    explicit = vars(_build_parser().parse_args(argv))
     command = explicit.pop("command")
     options = _OPTIONS[command]
     resolved = {name.replace("-", "_"): default for name, (_, default, _h) in options.items()}
@@ -191,6 +189,9 @@ def _write_report(path: str, report: dict) -> None:
 
 def cmd_train(args) -> int:
     _require(args, "data", "tables", "out")
+    if args.report and args.report.endswith(".csv"):
+        raise ValueError(f"--report {args.report}: give the .json path; "
+                         "the .csv is written alongside it")
     sequences, tables = load_dataset(args.data, args.tables)
     lexicon = _load_lexicon_arg(args)
     config = TrainConfig(
@@ -215,14 +216,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _dump_beams(sequences, tables, theta, search_config, lexicon, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for ex, prev in with_gold_context(sequences):
-            K = beam_search(ex, tables[ex.table_ref], theta, lexicon,
-                            search_config, prev)
-            f.write(json.dumps(dump_record(ex, K), sort_keys=True) + "\n")
-
-
 def cmd_eval(args) -> int:
     _require(args, "data", "tables", "checkpoint")
     sequences, tables = load_dataset(args.data, args.tables)
@@ -235,9 +228,6 @@ def cmd_eval(args) -> int:
         with open(args.predictions, "w", encoding="utf-8") as f:
             for rec in predictions:
                 f.write(json.dumps(rec, sort_keys=True) + "\n")
-    if args.dump_beams:
-        _dump_beams(sequences, tables, theta, _search_config(args), lexicon,
-                    args.dump_beams)
     print(f"accuracy\t{acc:.4f}")
     return 0
 
@@ -274,7 +264,11 @@ def cmd_dump_beams(args) -> int:
     sequences, tables = load_dataset(args.data, args.tables)
     theta = ParamVector.load(args.checkpoint) if args.checkpoint else ParamVector()
     lexicon = _load_lexicon_arg(args)
-    _dump_beams(sequences, tables, theta, _search_config(args), lexicon, args.out)
+    search_config = _search_config(args)
+    with open(args.out, "w", encoding="utf-8") as f:
+        for ex, prev in with_gold_context(sequences):
+            K = beam_search(ex, tables[ex.table_ref], theta, lexicon, search_config, prev)
+            f.write(json.dumps(dump_record(ex, K), sort_keys=True) + "\n")
     print(f"out\t{args.out}")
     return 0
 
@@ -299,7 +293,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[ns.command](ns)
     except (IngestionError, TrainingError, UpdateSpecError, LexiconError,
-            ShapingError, ValueError, OSError) as e:
+            ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

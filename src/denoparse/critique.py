@@ -9,7 +9,7 @@ from importlib import resources
 
 from .programs import (KEYWORD_TOKENS, KEYWORD_WORDS, ProgramState, program_keywords,
                        program_surface_tokens)
-from .scorer import softmax
+from .scorer import left_sum, softmax
 from .tables import Table
 
 
@@ -117,7 +117,7 @@ def shape(behavior: list[float], critique: list[float]) -> list[float]:
     if len(behavior) != len(critique):
         raise ShapingError("behavior and critique must share a support")
     prod = [b * c for b, c in zip(behavior, critique)]
-    z = sum(prod)
+    z = left_sum(prod)
     if z <= 0.0:
         raise ShapingError("degenerate shaped policy: all products are zero")
     return [p / z for p in prod]

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .critique import default_lexicon
+from .scorer import left_sum
 from .search import SearchConfig
 from .synth import SynthConfig, SynthCorpus, generate_corpus
 from .training import TrainConfig, evaluate, run_report, spurious_audit, stability, train
@@ -47,7 +48,7 @@ def _search(cfg: TrendsConfig, shaping: bool) -> SearchConfig:
 
 
 def _run(corpus: SynthCorpus, test: SynthCorpus, lexicon, algo: str, shaping: bool,
-         seed: int, lr: float, cfg: TrendsConfig, audit: bool = False) -> dict:
+         seed: int, lr: float, cfg: TrendsConfig, audit: bool) -> dict:
     tc = TrainConfig(update_spec=parse_update_spec(algo), learning_rate=lr,
                      epochs=cfg.epochs, search=_search(cfg, shaping), seed=seed,
                      dev_fraction=0.2, train_accuracy_sample=0)
@@ -69,6 +70,20 @@ def _run(corpus: SynthCorpus, test: SynthCorpus, lexicon, algo: str, shaping: bo
     return out
 
 
+# the arms of one seed: name, update spec, shaping, the TrendsConfig field
+# holding the learning rate, and whether to audit for spurious programs.
+# The on-policy/off-policy comparison runs unshaped: sampling policy
+# quality is exactly what it isolates, and shaping would hand both arms a
+# reward-rich candidate pool.
+_ARMS = (
+    ("maver_shaped", "maver", True, "margin_lr", True),
+    ("maver_plain", "maver", False, "margin_lr", True),
+    ("mmr_shaped", "mmr", True, "margin_lr", False),
+    ("reinforce", "reinforce", False, "pg_lr", False),
+    ("offpg", "offpg", False, "pg_lr", False),
+)
+
+
 def directional_trends(cfg: TrendsConfig | None = None) -> dict:
     cfg = cfg or TrendsConfig()
     t0 = time.perf_counter()
@@ -77,26 +92,13 @@ def directional_trends(cfg: TrendsConfig | None = None) -> dict:
                                        seed=cfg.corpus_seed + 1000))
     lexicon = default_lexicon()
     seeds = list(range(1, cfg.n_seeds + 1))
-    per_seed = []
-    for seed in seeds:
-        per_seed.append({
-            "maver_shaped": _run(corpus, test, lexicon, "maver", True, seed,
-                                 cfg.margin_lr, cfg, audit=True),
-            "maver_plain": _run(corpus, test, lexicon, "maver", False, seed,
-                                cfg.margin_lr, cfg, audit=True),
-            "mmr_shaped": _run(corpus, test, lexicon, "mmr", True, seed,
-                               cfg.margin_lr, cfg),
-            # the on-policy/off-policy comparison runs unshaped: sampling
-            # policy quality is exactly what it isolates, and shaping would
-            # hand both arms a reward-rich candidate pool
-            "reinforce": _run(corpus, test, lexicon, "reinforce", False, seed,
-                              cfg.pg_lr, cfg),
-            "offpg": _run(corpus, test, lexicon, "offpg", False, seed,
-                          cfg.pg_lr, cfg),
-        })
+    per_seed = [{name: _run(corpus, test, lexicon, algo, shaping, seed,
+                            getattr(cfg, lr), cfg, audit)
+                 for name, algo, shaping, lr, audit in _ARMS}
+                for seed in seeds]
 
     def mean(key):
-        return sum(r[key]["accuracy"] for r in per_seed) / len(per_seed)
+        return left_sum(r[key]["accuracy"] for r in per_seed) / len(per_seed)
 
     audit_wins = sum(r["maver_shaped"]["spurious"] <= r["maver_plain"]["spurious"]
                      for r in per_seed)

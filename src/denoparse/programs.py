@@ -168,8 +168,9 @@ def condition_actions(table: Table, question_numbers: tuple[str, ...] = ()) -> t
         values = table.distinct_values(col)
         out.extend(Action(EQ, col, v) for v in values)
         out.extend(Action(NEQ, col, v) for v in values)
-        if table.has_numeric_cells(col):
-            nums = {raw: parse_number(raw) for raw in table.distinct_numeric_values(col)}
+        numeric = table.distinct_numeric_values(col)
+        if numeric:
+            nums = {raw: parse_number(raw) for raw in numeric}
             for q in question_numbers:
                 if q not in nums:
                     nums[q] = parse_number(q)
@@ -218,14 +219,6 @@ def legal_actions(state: ProgramState, table: Table, position: int,
         else:
             out.append(Action(kind))
     return out
-
-
-def apply_action(state: ProgramState, action: Action, table: Table, position: int = 0,
-                 max_conditions: int | None = None,
-                 question_numbers: tuple[str, ...] = ()) -> ProgramState:
-    if action not in legal_actions(state, table, position, max_conditions, question_numbers):
-        raise IllegalActionError(f"action {action} is illegal for state {state.actions}")
-    return state.child(action)
 
 
 # --- serialization ------------------------------------------------------

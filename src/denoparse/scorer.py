@@ -184,6 +184,16 @@ def weight_sum(weights: dict[str, float], terms, start: float = 0.0) -> float:
     return total
 
 
+def left_sum(values) -> float:
+    """The sum of floats, added one at a time from the left as `weight_sum`
+    adds its terms. Every float sum in the package goes through here, so
+    results do not depend on the CPython version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class ParamVector:
     """Sparse weight vector; the only mutable learning state."""
 
@@ -240,21 +250,8 @@ def score(state: ProgramState, question_tokens, table: Table, theta: ParamVector
     return theta.dot(featurize(state, question_tokens, table))
 
 
-def score_gradient(state: ProgramState, question_tokens, table: Table,
-                   theta: ParamVector) -> FeatureVector:
-    # linear model: the gradient is the feature vector, independent of theta
-    return featurize(state, question_tokens, table)
-
-
 def softmax(values) -> list[float]:
     m = max(values)
     exps = [math.exp(v - m) for v in values]
-    z = sum(exps)
+    z = left_sum(exps)
     return [e / z for e in exps]
-
-
-def boltzmann(programs, question_tokens, table: Table, theta: ParamVector) -> list[float]:
-    """p(y) proportional to exp(score(y)), normalized over the given programs."""
-    if not programs:
-        raise ValueError("boltzmann needs at least one program")
-    return softmax([score(p, question_tokens, table, theta) for p in programs])

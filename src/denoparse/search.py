@@ -45,8 +45,8 @@ so they go straight through `step`.
 Reward-first selection. Children are ranked before they are built, in two
 passes per beam step. Pass 1 collects each parent's legal children and,
 when lambda is not 0, their rewards; completed children are built and
-finalized there. When the rank is lexicographic (lambda = inf with a gold
-answer) and there are more than beam_size children, the floor is the
+finalized there. When the rank is lexicographic (lambda = inf) and there
+are more than beam_size children, the floor is the
 beam_size-th largest reward: a child below it ranks after at least
 beam_size others, so it cannot survive, and every child tied at the floor
 stays in the running. Pass 2 gives only the children at or above the
@@ -136,9 +136,6 @@ class CandidateSet:
     def __iter__(self):
         return iter(self.entries)
 
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
 
 def rank_value(config: SearchConfig):
     """The function of (reward, score, critique) that gives `rank_key`
@@ -198,10 +195,10 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
     e1 = question_table_tokens(qtokens, table)
     e1_len = len(e1)
     w_recall = theta.get(RECALL_FEATURE)
-    use_reward = config.lambda_weight != 0.0 and gold is not None
+    use_reward = config.lambda_weight != 0.0
     shaping = config.shaping_enabled
     rank = rank_value(config)
-    gold_values = gold.values if gold is not None else None
+    gold_values = gold.values
 
     ctx = P.ExecContext(table, prev_answer)
 
@@ -368,7 +365,7 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
         cooccur = cooccurrence(hyp, g)
         state = P.step(ctx, hyp.state, action)
         reward = 0.0
-        if (use_reward or g is stop) and gold_values is not None:
+        if use_reward or g is stop:
             reward = jaccard(state[2], P.answer_rows(state))
         return _Hyp(actions=hyp.actions + (action,), ser=serialize(hyp, g, i),
                     state=state, used=hyp.used | g.bits[i], score=score, nonkw=nonkw,
@@ -382,7 +379,7 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
             return
         program = P.ProgramState(hyp.actions, True)
         answer = P.answer(ctx, hyp.state)
-        compatible = gold is not None and exact_match(answer, gold)
+        compatible = exact_match(answer, gold)
         pool[hyp.ser] = Candidate(program, hyp.ser, hyp.score, hyp.reward,
                                   hyp.critique, compatible, answer)
 

@@ -246,16 +246,16 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
     return corpus
 
 
-def measure_ambiguity(corpus: SynthCorpus, max_conditions: int = 1) -> float:
-    """Fraction of examples with at least two answer-compatible programs."""
+def measure_ambiguity(corpus: SynthCorpus) -> float:
+    """Fraction of examples with at least two answer-compatible programs of
+    at most one condition."""
     ambiguous = total = 0
     for seq in corpus.sequences:
         prev = None
         for ex in seq:
             table = corpus.tables[ex.table_ref]
             compatible = 0
-            for prog in P.enumerate_programs(table, ex.position, max_conditions,
-                                             ex.question_numbers):
+            for prog in P.enumerate_programs(table, ex.position, 1, ex.question_numbers):
                 try:
                     ans = P.execute(prog, table, prev)
                 except P.ExecutionError:

@@ -76,9 +76,6 @@ class Table:
             for c in range(self.col_count)
         )
 
-    def has_numeric_cells(self, col: int) -> bool:
-        return any(row[col].numeric is not None for row in self.cells)
-
     def distinct_values(self, col: int) -> tuple[str, ...]:
         """Distinct non-empty raw cell strings of a column, sorted."""
         return tuple(sorted({row[col].raw for row in self.cells if row[col].raw.strip()}))
@@ -194,19 +191,27 @@ def _parse_coords(field: str, where: str) -> frozenset[tuple[int, int]] | None:
         items = ast.literal_eval(field)
     except (ValueError, SyntaxError):
         raise IngestionError(f"{where}: unparseable answer_coordinates {field!r}")
+    if not isinstance(items, (list, tuple, set)):
+        raise IngestionError(f"{where}: answer_coordinates {field!r} is not a list")
     coords = set()
     for it in items:
-        if isinstance(it, str):
-            try:
-                r, c = it.strip().strip("()").split(",")
-                coords.add((int(r), int(c)))
-            except ValueError:
-                raise IngestionError(f"{where}: bad coordinate {it!r}")
-        elif isinstance(it, (tuple, list)) and len(it) == 2:
-            coords.add((int(it[0]), int(it[1])))
-        else:
-            raise IngestionError(f"{where}: bad coordinate {it!r}")
+        try:
+            coords.add(_coordinate(it))
+        except ValueError:
+            raise IngestionError(f"{where}: bad coordinate {it!r}") from None
     return frozenset(coords)
+
+
+def _coordinate(item) -> tuple[int, int]:
+    """The (row, column) of a "(r, c)" string or a two-item tuple or list;
+    ValueError unless both are ints >= 0."""
+    if isinstance(item, str):
+        pair = [int(v) for v in item.strip().strip("()").split(",")]
+    else:
+        pair = list(item) if isinstance(item, (tuple, list)) else []
+    if len(pair) != 2 or not all(type(v) is int and v >= 0 for v in pair):
+        raise ValueError(item)
+    return pair[0], pair[1]
 
 
 def _parse_answer_text(field: str, where: str) -> list[str]:
@@ -240,24 +245,28 @@ def load_dataset(questions_path: str, tables_dir: str):
         missing = [c for c in QUESTION_FIELDS if c not in reader.fieldnames]
         if missing:
             raise IngestionError(f"{questions_path}: missing columns {missing}")
-        raw_rows = list(reader)
+        # each row with the file line it ends on
+        raw_rows = [(reader.line_num, row) for row in reader]
 
     groups: dict[str, list[Example]] = {}
     tables: dict[str, Table] = {}
-    for i, row in enumerate(raw_rows):
-        where = f"{questions_path}:{i}"
+    for line, row in raw_rows:
+        where = f"{questions_path}:{line}"
+        short = [c for c in QUESTION_FIELDS if row[c] is None]
+        if short:
+            raise IngestionError(f"{where}: row is missing {', '.join(short)}")
         seq_id = f"{row['id']}/{row['annotator']}"
         try:
             position = int(row["position"])
-        except (TypeError, ValueError):
-            raise IngestionError(f"{where}: bad position {row.get('position')!r}")
+        except ValueError:
+            raise IngestionError(f"{where}: bad position {row['position']!r}")
         table_ref = row["table_file"]
         if table_ref not in tables:
             stem = os.path.splitext(os.path.basename(table_ref))[0]
             tables[table_ref] = load_table(os.path.join(tables_dir, table_ref),
                                            table_id=stem)
-        coords = _parse_coords(row["answer_coordinates"] or "", where)
-        texts = _parse_answer_text(row["answer_text"] or "", where)
+        coords = _parse_coords(row["answer_coordinates"], where)
+        texts = _parse_answer_text(row["answer_text"], where)
         gold = AnswerSet.from_texts(texts, coords)
         groups.setdefault(seq_id, []).append(
             Example(seq_id, position, row["question"], table_ref, gold))

@@ -13,8 +13,8 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 
 from .critique import Lexicon
-from .programs import is_spurious
-from .scorer import ParamVector
+from .programs import CONDITION_KINDS, is_spurious
+from .scorer import RECALL_FEATURE, ParamVector, left_sum
 from .search import SearchConfig, beam_search
 from .tables import EMPTY_ANSWER, AnswerSet, Example, Table, exact_match
 from .updates import UpdateSpec, generalized_update, make_context, parse_update_spec
@@ -42,8 +42,8 @@ class TrainConfig:
     recall_prior: float = -1.0
     condition_prior: float = -0.1
     # dev accuracy is exact; train accuracy is estimated on this many
-    # sequences to keep epochs cheap (None = all, 0 = skip)
-    train_accuracy_sample: int | None = 50
+    # sequences to keep epochs cheap (0 = skip)
+    train_accuracy_sample: int = 50
 
     def validate(self):
         if self.learning_rate < 0 or not math.isfinite(self.learning_rate):
@@ -121,7 +121,7 @@ def with_gold_context(sequences) -> list[tuple[Example, AnswerSet | None]]:
 def _clip(delta: dict, limit: float | None) -> dict:
     if limit is None or not delta:
         return delta
-    norm = math.sqrt(sum(v * v for v in delta.values()))
+    norm = math.sqrt(left_sum(v * v for v in delta.values()))
     if norm <= limit:
         return delta
     scale = limit / norm
@@ -159,9 +159,8 @@ def _sgd_pass(flat, tables, lexicon, config: TrainConfig, theta: ParamVector,
 def _initial_theta(config: TrainConfig) -> ParamVector:
     theta = ParamVector()
     if config.recall_prior:
-        theta.weights["recall"] = config.recall_prior
+        theta.weights[RECALL_FEATURE] = config.recall_prior
     if config.condition_prior:
-        from .programs import CONDITION_KINDS
         for kind in CONDITION_KINDS:
             theta.weights[f"act={kind}"] = config.condition_prior
     return theta
@@ -178,14 +177,9 @@ def train(sequences, tables: dict[str, Table], lexicon: Lexicon | None,
     rng = random.Random(config.seed)
 
     sample = config.train_accuracy_sample
-    if sample is None:
-        acc_seqs = train_seqs
-    elif sample == 0:
-        acc_seqs = []
-    else:
-        pick = random.Random(config.seed ^ 0x5EED)
-        acc_seqs = (train_seqs if len(train_seqs) <= sample
-                    else pick.sample(train_seqs, sample))
+    pick = random.Random(config.seed ^ 0x5EED)
+    acc_seqs = (train_seqs if len(train_seqs) <= sample
+                else pick.sample(train_seqs, sample))
 
     history = TrainHistory()
     best_theta = theta.copy()
@@ -265,7 +259,7 @@ def stability(history: TrainHistory) -> float:
     accs = history.dev_accuracies
     if len(accs) < 2:
         raise ValueError("stability needs at least 2 recorded epochs")
-    return sum(abs(b - a) for a, b in zip(accs, accs[1:])) / (len(accs) - 1)
+    return left_sum(abs(b - a) for a, b in zip(accs, accs[1:])) / (len(accs) - 1)
 
 
 def spurious_audit(sequences, tables: dict[str, Table], theta: ParamVector,

@@ -25,12 +25,10 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .scorer import FeatureVector, softmax
+from .scorer import FeatureVector, left_sum, softmax
 # unused here; bench/tracing.py patches updates.featurize, so the name stays
 from .scorer import featurize  # noqa: F401
 from .search import CandidateSet
-from .tables import AnswerSet, Table, jaccard
-from .programs import Program, execute
 
 # algorithm name -> (intensity side, competing side)
 _ALGORITHMS = {
@@ -56,9 +54,6 @@ class UpdateSpec:
     intensity_kind: str
     competing_kind: str
     beta: float | None = None
-
-    def __str__(self) -> str:
-        return self.name
 
 
 def _intensity_of(token: str) -> tuple[str, float | None]:
@@ -152,24 +147,19 @@ def make_context(K: CandidateSet, rng: random.Random,
     return UpdateContext(K, rng, scores, rewards, u)
 
 
-def exploration_distribution(K: CandidateSet, softening: float = 5.0,
+def exploration_distribution(K: CandidateSet,
                              shaping_eta: float | None = None) -> list[float]:
     """Reward-biased sampling distribution over K: a Boltzmann over
-    softening * reward + score (+ eta * critique when the search shaped)."""
+    5 * reward + score (+ eta * critique when the search shaped)."""
     if not K:
         return []
     vals = []
     for c in K.entries:
-        v = softening * c.reward + c.score
+        v = 5.0 * c.reward + c.score
         if shaping_eta is not None:
             v += shaping_eta * c.critique
         vals.append(v)
     return softmax(vals)
-
-
-def reward(program: Program, table: Table, gold: AnswerSet,
-           prev_answer: AnswerSet | None = None) -> float:
-    return jaccard(execute(program, table, prev_answer), gold)
 
 
 def reference_index(ctx: UpdateContext) -> int | None:
@@ -203,7 +193,7 @@ def most_violating_index(ctx: UpdateContext, ref: int) -> int | None:
 def sample_from(probs: list[float], serializations: list[str],
                 rng: random.Random) -> int:
     """Inverse-CDF draw over the serialization-sorted support."""
-    total = sum(probs)
+    total = left_sum(probs)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"distribution sums to {total}, not 1")
     order = sorted(range(len(probs)), key=lambda i: serializations[i])
@@ -253,7 +243,7 @@ def intensity(spec: UpdateSpec, ctx: UpdateContext) -> tuple[list[float] | None,
                 w[i] = 1.0 / len(chosen)
             return w, res
         powered = [v ** beta for v in sub]
-        z = sum(powered)
+        z = left_sum(powered)
         if z == 0.0:
             raise NonFiniteUpdateError(
                 f"{spec.name} weights are undefined: the model probability of "
@@ -327,7 +317,7 @@ def generalized_update(spec: UpdateSpec, ctx: UpdateContext) -> UpdateResult:
     q = competing(spec, ctx, res)
     if q is None:
         return res
-    w_total = sum(w)
+    w_total = left_sum(w)
     delta: dict[str, float] = {}
     for i, wi in enumerate(w):
         if wi == 0.0:

@@ -63,6 +63,15 @@ def test_train_writes_checkpoint_and_report(corpus_dir, tmp_path, capsys):
     assert len(wall_time.split(".")[1]) == 3
 
 
+def test_csv_report_path_is_a_usage_error(corpus_dir, tmp_path, capsys):
+    # the JSON report would be overwritten by the CSV written alongside it
+    rc = run(train_args(corpus_dir, tmp_path, report=tmp_path / "r.csv"))
+    assert rc == 1
+    assert "--report" in capsys.readouterr().err
+    assert not (tmp_path / "model.tsv").exists()
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_train_audit_sample_included(corpus_dir, tmp_path):
     rc = run(train_args(corpus_dir, tmp_path, **{"audit-sample": "5"}))
     assert rc == 0
@@ -78,27 +87,31 @@ def test_eval_prints_accuracy_and_predictions(corpus_dir, tmp_path, capsys):
               "--tables", corpus_dir / "tables",
               "--checkpoint", tmp_path / "model.tsv",
               "--beam", "6", "--max-actions", "4", "--max-conditions", "1",
-              "--predictions", tmp_path / "preds.jsonl",
-              "--dump-beams", tmp_path / "beams.jsonl"])
+              "--predictions", tmp_path / "preds.jsonl"])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("accuracy\t")
     preds = [json.loads(l) for l in (tmp_path / "preds.jsonl").read_text().splitlines()]
     assert all({"sequence_id", "position", "program", "predicted", "gold",
                 "correct"} <= set(p) for p in preds)
-    beams = [json.loads(l) for l in (tmp_path / "beams.jsonl").read_text().splitlines()]
-    assert all("beam" in b for b in beams)
-    assert len(beams) == len(preds)
+    n_examples = len((corpus_dir / "questions.tsv").read_text().splitlines()) - 1
+    assert len(preds) == n_examples
 
 
 def test_dump_beams_command(corpus_dir, tmp_path, capsys):
+    assert run(train_args(corpus_dir, tmp_path)) == 0
     rc = run(["dump-beams", "--data", corpus_dir / "questions.tsv",
-              "--tables", corpus_dir / "tables", "--beam", "4",
+              "--tables", corpus_dir / "tables",
+              "--checkpoint", tmp_path / "model.tsv", "--beam", "4",
               "--max-actions", "4", "--max-conditions", "1",
               "--out", tmp_path / "beams.jsonl"])
     assert rc == 0
     lines = (tmp_path / "beams.jsonl").read_text().splitlines()
-    rec = json.loads(lines[0])
+    beams = [json.loads(line) for line in lines]
+    assert all("beam" in b for b in beams)
+    n_examples = len((corpus_dir / "questions.tsv").read_text().splitlines()) - 1
+    assert len(beams) == n_examples
+    rec = beams[0]
     assert {"sequence_id", "position", "question", "beam"} <= set(rec)
     assert {"program", "score", "reward", "critique", "compatible"} <= \
         set(rec["beam"][0])

@@ -61,8 +61,7 @@ def test_followup_needs_a_condition_budget(squad_table):
         assert P.legal_actions(P.EMPTY_STATE, squad_table, 1, budget) == heads
     acts = P.legal_actions(P.EMPTY_STATE, squad_table, 1, 0)
     assert acts == [a for a in heads if a.kind != P.FOLLOWUP]
-    with pytest.raises(P.IllegalActionError):
-        P.apply_action(P.EMPTY_STATE, P.Action(P.FOLLOWUP), squad_table, 1, 0)
+    assert P.Action(P.FOLLOWUP) not in acts
     # nothing completed from FOLLOWUP at 0 conditions, so no program is lost
     programs = P.enumerate_programs(squad_table, 1, 0)
     assert len(programs) == 6
@@ -98,19 +97,20 @@ def test_question_numbers_extend_comparisons(squad_table):
     assert cond(P.GT, 2, "15") in acts
 
 
+# applying an action is a legal_actions check plus ProgramState.child
+
 def test_apply_action_validates(squad_table):
-    state = P.apply_action(P.EMPTY_STATE, sel(0), squad_table, 0)
-    assert state.actions == (sel(0),)
-    with pytest.raises(P.IllegalActionError):
-        P.apply_action(P.EMPTY_STATE, P.Action(P.STOP), squad_table, 0)
-    with pytest.raises(P.IllegalActionError):
-        P.apply_action(P.EMPTY_STATE, P.Action(P.FOLLOWUP), squad_table, 0)
+    legal = P.legal_actions(P.EMPTY_STATE, squad_table, 0)
+    assert sel(0) in legal
+    assert P.EMPTY_STATE.child(sel(0)).actions == (sel(0),)
+    assert P.Action(P.STOP) not in legal
+    assert P.Action(P.FOLLOWUP) not in legal
 
 
 def test_apply_action_stop_completes(squad_table):
     state = P.EMPTY_STATE.child(sel(0))
-    done = P.apply_action(state, P.Action(P.STOP), squad_table, 0)
-    assert done.complete
+    assert P.Action(P.STOP) in P.legal_actions(state, squad_table, 0)
+    assert state.child(P.Action(P.STOP)).complete
 
 
 # --- serialization ---------------------------------------------------------

@@ -9,8 +9,7 @@ from denoparse.critique import Lexicon, critique_score, default_lexicon
 from denoparse.scorer import ParamVector, action_features, featurize, score
 from denoparse.search import SearchConfig, beam_search, dump_record, rank_key
 from denoparse.synth import SynthConfig, generate_corpus
-from denoparse.tables import AnswerSet
-from denoparse.updates import reward
+from denoparse.tables import AnswerSet, jaccard
 
 from conftest import example_for, make_table
 from helpers import reference_beam_search
@@ -106,7 +105,7 @@ def test_candidates_carry_consistent_bookkeeping(squad_table):
     for c in K:
         assert score(c.program, ex.question_tokens, squad_table, theta) == \
             pytest.approx(c.score, abs=1e-9)
-        assert reward(c.program, squad_table, ex.gold_answer) == \
+        assert jaccard(P.execute(c.program, squad_table), ex.gold_answer) == \
             pytest.approx(c.reward, abs=1e-12)
         assert critique_score(ex.question_tokens, c.program, squad_table, lex) == \
             pytest.approx(c.critique, abs=1e-12)

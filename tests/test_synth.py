@@ -48,7 +48,7 @@ def test_sequences_have_consecutive_positions_up_to_three():
 
 def test_ambiguity_pressure_at_least_thirty_percent():
     corpus = generate_corpus(SynthConfig(sequences=25, seed=7))
-    assert measure_ambiguity(corpus, max_conditions=1) >= 0.3
+    assert measure_ambiguity(corpus) >= 0.3
 
 
 def test_written_corpus_round_trips(tmp_path):

@@ -176,6 +176,43 @@ def test_load_dataset_errors(tmp_path):
         load_dataset(str(qfile), str(tdir))
 
 
+_HEADER = ("id\tannotator\tposition\tquestion\ttable_file\t"
+           "answer_coordinates\tanswer_text\n")
+_GOOD_ROW = "q\t0\t0\twho?\tt0.csv\t['(0, 0)']\t['Ada']\n"
+
+
+def _load_rows(tmp_path, *rows):
+    qfile, tdir = _write_corpus(tmp_path)
+    qfile.write_text(_HEADER + "".join(rows))
+    return lambda: load_dataset(str(qfile), str(tdir))
+
+
+def test_coordinates_that_are_not_a_list_name_the_line(tmp_path):
+    load = _load_rows(tmp_path, "q\t0\t0\twho?\tt0.csv\t5\t['Ada']\n")
+    with pytest.raises(IngestionError, match=r"questions\.tsv:2: .*not a list"):
+        load()
+
+
+@pytest.mark.parametrize("coords", ['[(0, "x")]', "[(0, 1.5)]", "['(-1, 0)']"])
+def test_bad_coordinate_names_the_line(tmp_path, coords):
+    load = _load_rows(tmp_path, f"q\t0\t0\twho?\tt0.csv\t{coords}\t['Ada']\n")
+    with pytest.raises(IngestionError, match=r"questions\.tsv:2: bad coordinate"):
+        load()
+
+
+def test_row_shorter_than_the_header_names_the_line(tmp_path):
+    load = _load_rows(tmp_path, _GOOD_ROW, "q\t0\t1\twho else?\n")
+    with pytest.raises(IngestionError, match=r"questions\.tsv:3: .*table_file"):
+        load()
+
+
+def test_ingestion_errors_give_the_file_line(tmp_path):
+    # the header is line 1, so the second data row is line 3
+    load = _load_rows(tmp_path, _GOOD_ROW, "q\t0\tone\twho?\tt0.csv\t\t['Bo']\n")
+    with pytest.raises(IngestionError, match=r"questions\.tsv:3: bad position"):
+        load()
+
+
 def test_dataset_round_trip(tmp_path):
     qfile, tdir = _write_corpus(tmp_path)
     sequences, tables = load_dataset(str(qfile), str(tdir))

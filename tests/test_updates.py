@@ -12,7 +12,7 @@ from denoparse.tables import AnswerSet
 from denoparse.updates import (CANONICAL_SPECS, NonFiniteUpdateError, UpdateContext,
                                UpdateSpecError, competing, exploration_distribution, generalized_update,
                                intensity, make_context, most_violating_index,
-                               parse_update_spec, reference_index, reward,
+                               parse_update_spec, reference_index,
                                sample_from, violation_indices)
 
 from conftest import make_table
@@ -58,15 +58,6 @@ def test_parse_update_spec_rejects_junk():
                 "mix:mml,bogus"):
         with pytest.raises(UpdateSpecError):
             parse_update_spec(bad)
-
-
-def test_reward_is_jaccard_of_execution(club_table):
-    p = P.ProgramState((P.Action(P.SELECT, 0), P.Action(P.GT, 1, "21"),
-                        P.Action(P.STOP)), True)
-    assert reward(p, club_table, AnswerSet.from_texts(["Harlequins"])) == 1.0
-    assert reward(p, club_table, AnswerSet.from_texts(["nothing"])) == 0.0
-    both = AnswerSet.from_texts(["Harlequins", "Wasps"])
-    assert reward(p, club_table, both) == pytest.approx(0.5)
 
 
 def test_reference_prefers_score_then_serialization():
@@ -248,11 +239,11 @@ def test_offpolicy_with_u_equal_p_is_reinforce():
 
 def test_exploration_distribution_biases_toward_reward():
     qtokens, table, K, theta, _ = micro(36)
-    u = exploration_distribution(K, softening=5.0)
+    u = exploration_distribution(K)
     assert sum(u) == pytest.approx(1.0, abs=1e-12)
     best_reward = max(range(len(K)), key=lambda i: (K.entries[i].reward,
                                                     -K.entries[i].score))
-    flat = exploration_distribution(K, softening=0.0)
+    flat = softmax([c.score for c in K.entries])
     assert u[best_reward] >= flat[best_reward] - 1e-9
 
 
