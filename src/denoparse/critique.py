@@ -7,8 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .programs import (KEYWORD_TOKENS, KEYWORD_WORDS, ProgramState, program_keywords,
-                       program_surface_tokens)
+from .programs import KEYWORD_TOKENS, ProgramState, program_keywords, program_surface_tokens
 from .scorer import left_sum, softmax
 from .tables import Table
 
@@ -82,7 +81,7 @@ def default_lexicon() -> Lexicon:
 def match_score(question_tokens, program: ProgramState, table: Table) -> float:
     """Fraction of the program's distinct non-keyword tokens present in the
     question; 0 for programs with no non-keyword tokens."""
-    toks = program_surface_tokens(program, table) - KEYWORD_WORDS
+    toks = program_surface_tokens(program, table)
     if not toks:
         return 0.0
     qset = set(question_tokens)

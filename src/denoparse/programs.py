@@ -12,8 +12,11 @@ during search.
 
 The grammar is written once, as the table GRAMMAR from each phase of a
 partial program to the kinds legal in it and the phase each leads to.
-`legal_actions`, `enumerate_programs` and the beam search read it, and
-the fewest actions still needed to reach Stop are derived from it.
+`legal_actions`, `enumerate_programs` and the beam search read it, `parse`
+walks it, and the fewest actions still needed to reach Stop are derived
+from it. Each kind's token layout is written once too, as the table
+_LAYOUT: `action_tokens` renders it, `parse` matches it against the
+tokens, and the keyword sets are its literals.
 Execution is written once too: `step` advances an execution state by one
 action, `answer_values`/`answer` project a state onto the answer, and
 `execute` is a fold of `step`. The search calls the same `step` for every
@@ -48,14 +51,30 @@ STOP = "STOP"
 HEAD_KINDS = (SELECT, FOLLOWUP, FPCELL)
 CONDITION_KINDS = (EQ, NEQ, GT, LT, MAX, MIN)
 
-_OP_TOKEN = {EQ: "=", NEQ: "!=", GT: ">", LT: "<", MAX: "MAX", MIN: "MIN"}
-_TOKEN_OP = {v: k for k, v in _OP_TOKEN.items()}
+# Each kind's tokens in a serialized program: keyword literals and the
+# placeholders for the action's column name and value. The second arm of an
+# OR drops its WHERE. Serialization, parsing and the keyword sets read it.
+_COLUMN, _VALUE = object(), object()
+_LAYOUT = {
+    SELECT: ("SELECT", _COLUMN),
+    FOLLOWUP: ("FOLLOWUP",),
+    FPCELL: ("FPCELL", _COLUMN),
+    EQ: ("WHERE", _COLUMN, "=", _VALUE),
+    NEQ: ("WHERE", _COLUMN, "!=", _VALUE),
+    GT: ("WHERE", _COLUMN, ">", _VALUE),
+    LT: ("WHERE", _COLUMN, "<", _VALUE),
+    MAX: ("WHERE", _COLUMN, "MAX"),
+    MIN: ("WHERE", _COLUMN, "MIN"),
+    OR: ("OR",),
+    STOP: (),
+}
+_KEYWORDS = {kind: frozenset(t for t in layout if isinstance(t, str))
+             for kind, layout in _LAYOUT.items()}
 
 # Tokens with grammatical meaning in a serialized program. Operators never
 # survive tokenization, so the lowercase word forms are what the match and
 # recall features must exclude.
-KEYWORD_TOKENS = frozenset(
-    {"SELECT", "WHERE", "OR", "FOLLOWUP", "FPCELL", "MAX", "MIN", "=", "!=", ">", "<"})
+KEYWORD_TOKENS = frozenset().union(*_KEYWORDS.values())
 KEYWORD_WORDS = frozenset(t.lower() for t in KEYWORD_TOKENS if t.isalpha())
 
 
@@ -233,23 +252,9 @@ def _quote(token: str) -> str:
 
 
 def action_tokens(action: Action, table: Table, after_or: bool = False) -> list[str]:
-    k = action.kind
-    if k == SELECT:
-        return ["SELECT", _quote(table.column_names[action.column])]
-    if k == FOLLOWUP:
-        return ["FOLLOWUP"]
-    if k == FPCELL:
-        return ["FPCELL", _quote(table.column_names[action.column])]
-    if k == OR:
-        return ["OR"]
-    if k == STOP:
-        return []
-    parts = [] if after_or else ["WHERE"]
-    parts.append(_quote(table.column_names[action.column]))
-    parts.append(_OP_TOKEN[k])
-    if k not in (MAX, MIN):
-        parts.append(_quote(action.value))
-    return parts
+    return [_quote(table.column_names[action.column]) if t is _COLUMN
+            else _quote(action.value) if t is _VALUE else t
+            for t in _LAYOUT[action.kind][after_or:]]
 
 
 def serialize(state: ProgramState, table: Table) -> str:
@@ -264,97 +269,50 @@ def serialize(state: ProgramState, table: Table) -> str:
     return s
 
 
+_TOKEN = re.compile(r'"((?:[^"\\]|\\.)*)"|(\S+)', re.S)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+
+
 def _scan(line: str) -> list[tuple[str, bool]]:
     """Split a serialized program into (token, was_quoted) pairs."""
     out = []
-    i, n = 0, len(line)
-    while i < n:
-        if line[i].isspace():
-            i += 1
-            continue
-        if line[i] == '"':
-            i += 1
-            buf = []
-            while i < n and line[i] != '"':
-                if line[i] == "\\" and i + 1 < n:
-                    buf.append(line[i + 1])
-                    i += 2
-                else:
-                    buf.append(line[i])
-                    i += 1
-            if i >= n:
-                raise ParseError(f"unterminated quote in {line!r}")
-            i += 1
-            out.append(("".join(buf), True))
-        else:
-            j = i
-            while j < n and not line[j].isspace():
-                j += 1
-            out.append((line[i:j], False))
-            i = j
+    for quoted, bare in _TOKEN.findall(line):
+        # a bare token starts with a quote only when no quote closes it
+        if bare.startswith('"'):
+            raise ParseError(f"unterminated quote in {line!r}")
+        out.append((bare, False) if bare else (_ESCAPE.sub(r"\1", quoted), True))
     return out
 
 
 def parse(line: str, table: Table) -> ProgramState:
-    """Parse one canonical serialization into a complete program."""
+    """Parse one canonical serialization into a complete program. The walk
+    starts in the "empty" phase of GRAMMAR and at each step reads the one
+    legal non-Stop kind whose layout matches the next tokens: keywords
+    unquoted, a column by its name, a value as any token. The input must
+    end where the phase allows Stop."""
     toks = _scan(line)
     col_index = {name: i for i, name in enumerate(table.column_names)}
-
-    def column_at(pos: int) -> int:
-        if pos >= len(toks):
-            raise ParseError(f"expected column name at end of {line!r}")
-        name = toks[pos][0]
-        if name not in col_index:
-            raise ParseError(f"unknown column {name!r} in {line!r}")
-        return col_index[name]
-
-    if not toks:
-        raise ParseError("empty program")
-    actions: list[Action] = []
-    head, head_quoted = toks[0]
-    if head_quoted or head not in (SELECT, FOLLOWUP, FPCELL):
-        raise ParseError(f"expected a program head, got {head!r}")
-    i = 1
-    if head == SELECT:
-        actions.append(Action(SELECT, column_at(i)))
-        i += 1
-    elif head == FPCELL:
-        actions.append(Action(FPCELL, column_at(i)))
-        i += 1
-        if i != len(toks):
-            raise ParseError(f"trailing tokens after FPCELL in {line!r}")
-    else:
-        actions.append(Action(FOLLOWUP))
-
-    def parse_condition(pos: int) -> tuple[Action, int]:
-        col = column_at(pos)
-        pos += 1
-        if pos >= len(toks):
-            raise ParseError(f"missing operator in {line!r}")
-        op, op_quoted = toks[pos]
-        if op_quoted or op not in _TOKEN_OP:
-            raise ParseError(f"bad operator {op!r} in {line!r}")
-        kind = _TOKEN_OP[op]
-        pos += 1
-        if kind in (MAX, MIN):
-            return Action(kind, col), pos
-        if pos >= len(toks):
-            raise ParseError(f"missing value in {line!r}")
-        return Action(kind, col, toks[pos][0]), pos + 1
-
-    if head != FPCELL:
-        while i < len(toks):
-            kw, kw_quoted = toks[i]
-            if kw_quoted or kw != "WHERE":
-                raise ParseError(f"expected WHERE, got {kw!r} in {line!r}")
-            cond, i = parse_condition(i + 1)
-            actions.append(cond)
-            if i < len(toks) and toks[i] == ("OR", False):
-                actions.append(Action(OR))
-                cond, i = parse_condition(i + 1)
-                actions.append(cond)
-        if head == FOLLOWUP and len(actions) == 1:
-            raise ParseError("FOLLOWUP requires at least one condition")
+    phase, pos, actions = "empty", 0, []
+    while pos < len(toks):
+        for kind in _NEXT[phase]:
+            layout = _LAYOUT[kind][phase == "or":]
+            span = toks[pos:pos + len(layout)]
+            if kind != STOP and len(span) == len(layout) and all(
+                    t == (lit, False) if isinstance(lit, str)
+                    else lit is _VALUE or t[0] in col_index
+                    for lit, t in zip(layout, span)):
+                break
+        else:
+            raise ParseError(f"{line!r}: no action legal in a {phase!r} state "
+                             f"reads token {pos + 1}, {toks[pos][0]!r}")
+        read = {lit: tok for lit, (tok, _) in zip(layout, span)}
+        column = read.get(_COLUMN)
+        actions.append(Action(kind, None if column is None else col_index[column],
+                              read.get(_VALUE)))
+        phase = _NEXT[phase][kind]
+        pos += len(layout)
+    if STOP not in _NEXT[phase]:
+        raise ParseError(f"{line!r}: a {phase!r} state cannot stop")
     actions.append(Action(STOP))
     return ProgramState(tuple(actions), True)
 
@@ -599,22 +557,11 @@ def action_surface_tokens(action: Action, table: Table) -> frozenset[str]:
         toks.update(tokenize(table.column_names[action.column]))
     if action.value is not None:
         toks.update(tokenize(action.value))
-    return frozenset(toks)
+    return frozenset(toks - KEYWORD_WORDS)
 
 
 def action_keywords(action: Action) -> frozenset[str]:
-    k = action.kind
-    if k == SELECT:
-        return frozenset({"SELECT"})
-    if k == FOLLOWUP:
-        return frozenset({"FOLLOWUP"})
-    if k == FPCELL:
-        return frozenset({"FPCELL"})
-    if k == OR:
-        return frozenset({"OR"})
-    if k == STOP:
-        return frozenset()
-    return frozenset({"WHERE", _OP_TOKEN[k]})
+    return _KEYWORDS[action.kind]
 
 
 def program_surface_tokens(state: ProgramState, table: Table) -> frozenset[str]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .programs import KEYWORD_WORDS, ProgramState, program_surface_tokens
+from .programs import ProgramState, program_surface_tokens
 from .tables import Table
 from .text import tokenize
 
@@ -156,7 +156,7 @@ class ActionFeaturizer:
                 feats[fid] = feats.get(fid, 0.0) + 1.0
         e1 = question_table_tokens(self.question_tokens, self.table)
         if e1:
-            e2 = program_surface_tokens(state, self.table) - KEYWORD_WORDS
+            e2 = program_surface_tokens(state, self.table)
             uncovered = len(e1 - e2) / len(e1)
             if uncovered:
                 feats[RECALL_FEATURE] = uncovered

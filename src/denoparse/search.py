@@ -62,10 +62,10 @@ serialization) and keeping beam_size of them gives the same survivors in
 the same order as sorting every child on `rank_key`. `CandidateSet.ranked`
 counts the rank values given. Only the survivors of each step and the
 completed programs become full states: `make_child` derives the
-serialization, token masks, critique, execution state and reward from the
-parent and the action, with the same critique formula and Jaccard memo,
-and an action's serialization tokens are joined the first time one is
-needed.
+serialization, token masks and execution state from the parent and the
+action, and an action's serialization tokens are joined the first time one
+is needed. Only a completed program's reward and critique are read, so
+`finalize` computes them, with the same Jaccard memo and critique formula.
 """
 from __future__ import annotations
 
@@ -160,11 +160,11 @@ def rank_key(serialization: str, reward: float, score: float, critique: float,
 
 class _Hyp:
     __slots__ = ("actions", "ser", "state", "used", "score", "nonkw",
-                 "keywords", "cooccur", "reward", "critique")
+                 "keywords", "cooccur")
 
-    def __init__(self, **kw):
-        for k, v in kw.items():
-            setattr(self, k, v)
+    def __init__(self, actions, ser, state, used, score, nonkw, keywords, cooccur):
+        self.actions, self.ser, self.state, self.used = actions, ser, state, used
+        self.score, self.nonkw, self.keywords, self.cooccur = score, nonkw, keywords, cooccur
 
 
 def action_dot(featurizer: ActionFeaturizer, weights: dict[str, float],
@@ -245,7 +245,7 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
             key = (a.column, a.value)
             masks = surface_masks.get(key)
             if masks is None:
-                surf = P.action_surface_tokens(a, table) - P.KEYWORD_WORDS
+                surf = P.action_surface_tokens(a, table)
                 masks = surface_masks[key] = (mask(surf), mask(surf & e1))
             g.surf_nonkw.append(masks[0])
             g.surf_e1.append(masks[1])
@@ -337,9 +337,7 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
         n = nonkw.bit_count()
         return ((nonkw & q_mask).bit_count() / n if n else 0.0) + cooccur
 
-    root = _Hyp(actions=(), ser="", state=ctx.start, used=0,
-                score=(w_recall if e1_len else 0.0), nonkw=0, keywords=0, cooccur=0,
-                reward=0.0, critique=0.0)
+    root = _Hyp((), "", ctx.start, 0, w_recall if e1_len else 0.0, 0, 0, 0)
 
     def legal(hyp: _Hyp) -> list[_Group]:
         """The groups of the kinds that extend hyp, in grammar order."""
@@ -361,27 +359,25 @@ def beam_search(example: Example, table: Table, theta: ParamVector,
 
     def make_child(hyp: _Hyp, g: _Group, i: int, score: float) -> _Hyp:
         action = g.actions[i]
-        nonkw = hyp.nonkw | g.surf_nonkw[i]
-        cooccur = cooccurrence(hyp, g)
-        state = P.step(ctx, hyp.state, action)
-        reward = 0.0
-        if use_reward or g is stop:
-            reward = jaccard(state[2], P.answer_rows(state))
-        return _Hyp(actions=hyp.actions + (action,), ser=serialize(hyp, g, i),
-                    state=state, used=hyp.used | g.bits[i], score=score, nonkw=nonkw,
-                    keywords=hyp.keywords | g.keywords, cooccur=cooccur,
-                    reward=reward, critique=critique(nonkw, cooccur))
+        return _Hyp(hyp.actions + (action,), serialize(hyp, g, i),
+                    P.step(ctx, hyp.state, action), hyp.used | g.bits[i], score,
+                    hyp.nonkw | g.surf_nonkw[i], hyp.keywords | g.keywords,
+                    cooccurrence(hyp, g))
 
     pool: dict[str, Candidate] = {}
 
     def finalize(hyp: _Hyp):
+        """Add a completed program to the pool, with its reward and
+        critique."""
         if hyp.ser in pool:
             return
+        state = hyp.state
         program = P.ProgramState(hyp.actions, True)
-        answer = P.answer(ctx, hyp.state)
+        answer = P.answer(ctx, state)
         compatible = exact_match(answer, gold)
-        pool[hyp.ser] = Candidate(program, hyp.ser, hyp.score, hyp.reward,
-                                  hyp.critique, compatible, answer)
+        pool[hyp.ser] = Candidate(program, hyp.ser, hyp.score,
+                                  jaccard(state[2], P.answer_rows(state)),
+                                  critique(hyp.nonkw, hyp.cooccur), compatible, answer)
 
     n = config.beam_size
     lexicographic = use_reward and config.lambda_weight == math.inf

@@ -150,10 +150,12 @@ def load_table(path: str, table_id: str | None = None) -> Table:
     if not os.path.exists(path):
         raise IngestionError(f"table file not found: {path}")
     with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
+        reader = csv.reader(f)
+        # each row with the file line it ends on
+        rows = [(reader.line_num, row) for row in reader]
     if not rows:
         raise IngestionError(f"{path}: no header")
-    header = tuple(rows[0])
+    header = tuple(rows[0][1])
     if not header or all(not h.strip() for h in header):
         raise IngestionError(f"{path}: no header")
     seen: dict[tuple[str, ...], str] = {}
@@ -163,9 +165,9 @@ def load_table(path: str, table_id: str | None = None) -> Table:
             raise IngestionError(f"{path}: duplicate header {name!r} (collides with {seen[key]!r})")
         seen[key] = name
     cells = []
-    for i, row in enumerate(rows[1:]):
+    for line, row in rows[1:]:
         if len(row) != len(header):
-            raise IngestionError(f"{path}: data row {i} has {len(row)} cells, expected {len(header)}")
+            raise IngestionError(f"{path}:{line}: row has {len(row)} cells, expected {len(header)}")
         cells.append(tuple(Cell.of(v) for v in row))
     tid = table_id if table_id is not None else os.path.splitext(os.path.basename(path))[0]
     return Table(tid, header, tuple(cells))

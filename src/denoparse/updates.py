@@ -215,7 +215,6 @@ class UpdateResult:
     delta: FeatureVector
     skipped: bool = False          # no compatible program: signal to count
     zero: bool = False             # margin methods with nothing violating
-    reason: str | None = None
     sampled_index: int | None = None
     reference: int | None = None
     violations: list[int] | None = None
@@ -229,7 +228,7 @@ def intensity(spec: UpdateSpec, ctx: UpdateContext) -> tuple[list[float] | None,
     if kind in ("mml", "merit", "reference"):
         comp = ctx.compatible_indices
         if not comp:
-            res.skipped, res.reason = True, "no compatible program"
+            res.skipped = True
             return None, res
     if kind == "mml" or kind == "merit":
         p = ctx.model_distribution
@@ -287,13 +286,13 @@ def competing(spec: UpdateSpec, ctx: UpdateContext,
         return ctx.model_distribution
     ref = res.reference if res.reference is not None else reference_index(ctx)
     if ref is None:
-        res.skipped, res.reason = True, "no compatible program"
+        res.skipped = True
         return None
     res.reference = ref
     violations = violation_indices(ctx, ref)
     res.violations = violations
     if not violations:
-        res.zero, res.reason = True, "no margin violation"
+        res.zero = True
         return None
     n = len(ctx.K)
     q = [0.0] * n
@@ -310,7 +309,7 @@ def competing(spec: UpdateSpec, ctx: UpdateContext,
 def generalized_update(spec: UpdateSpec, ctx: UpdateContext) -> UpdateResult:
     """delta = sum_y w(y) (phi(y) - sum_y' q(y') phi(y')); zero on skips."""
     if not ctx.K:
-        return UpdateResult(delta={}, skipped=True, reason="empty candidate set")
+        return UpdateResult(delta={}, skipped=True)
     w, res = intensity(spec, ctx)
     if w is None:
         return res

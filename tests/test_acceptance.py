@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line
 (run with `pytest tests/test_acceptance.py -v -s`). Criterion 6 trains
-dozens of models and takes 140-185 s on a 2-core machine with Python 3.11,
+dozens of models and takes about 113 s on a 2-core machine with Python 3.11,
 against its 600 s gate; everything else is fast.
 """
 import json

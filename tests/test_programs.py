@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from denoparse import programs as P
 from denoparse.tables import AnswerSet
@@ -160,6 +161,58 @@ def test_parse_errors(squad_table):
                 'SELECT Name WHERE Points ">" 2'):
         with pytest.raises(P.ParseError):
             P.parse(bad, squad_table)
+
+
+# column names and cells built from keyword tokens, quotes, backslashes and
+# whitespace, so that quoting and the lexer's escapes are exercised
+_PIECES = sorted(P.KEYWORD_TOKENS) + ['"', "\\", " ", "\n", "\u00a0", "x", "7", "..."]
+_TEXT = st.lists(st.sampled_from(_PIECES), max_size=4).map("".join)
+
+
+@st.composite
+def _tables(draw):
+    names = draw(st.lists(_TEXT, min_size=1, max_size=2, unique=True))
+    rows = draw(st.lists(st.lists(_TEXT, min_size=len(names), max_size=len(names)),
+                         min_size=1, max_size=2))
+    return make_table("fuzz", names, rows)
+
+
+def _tokens(program, table):
+    """The serialization of `program` as its list of tokens."""
+    out, prev = [], None
+    for a in program.actions:
+        out += P.action_tokens(a, table, after_or=prev == P.OR)
+        prev = a.kind
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(table=_tables(), data=st.data())
+def test_parse_round_trip_and_mutations_on_random_tables(table, data):
+    programs = P.enumerate_programs(table, 1, 2, ("7", "-1"))
+    for p in programs:
+        assert P.parse(P.serialize(p, table), table) == p
+    # a token-level mutation either fails with ParseError or parses to a
+    # program that round-trips
+    pool = sorted(P.KEYWORD_TOKENS) + ['"' + k + '"' for k in sorted(P.KEYWORD_TOKENS)] + [
+        '"', '""', "\\", '"x\\', "...", "x"] + list(table.column_names)
+    for _ in range(20):
+        toks = _tokens(data.draw(st.sampled_from(programs)), table)
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(toks)))
+            op = data.draw(st.sampled_from(["delete", "insert", "replace", "swap"]))
+            if op == "insert":
+                toks.insert(i, data.draw(st.sampled_from(pool)))
+            elif op == "swap":
+                toks[i:i + 2] = toks[i:i + 2][::-1]
+            elif toks:
+                i = min(i, len(toks) - 1)
+                toks[i:i + 1] = [data.draw(st.sampled_from(pool))] if op == "replace" else []
+        try:
+            q = P.parse(" ".join(toks), table)
+        except P.ParseError:
+            continue
+        assert P.parse(P.serialize(q, table), table) == q
 
 
 # --- execution --------------------------------------------------------------

@@ -69,7 +69,11 @@ def test_load_table_errors(tmp_path):
 
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("A,B\n1,2\n3\n")
-    with pytest.raises(IngestionError, match="row 1"):
+    with pytest.raises(IngestionError, match=r"ragged\.csv:3: row has 1 cells, expected 2"):
+        load_table(str(ragged))
+    # a quoted cell spanning two lines: the ragged row is on line 4
+    ragged.write_text('A,B\n"x\ny",2\n3\n')
+    with pytest.raises(IngestionError, match=r"ragged\.csv:4: row has 1 cells"):
         load_table(str(ragged))
 
     dup = tmp_path / "dup.csv"
