@@ -240,9 +240,13 @@ class ParamVector:
                 if len(parts) != 2:
                     raise ValueError(f"{path}: line {i + 1}: expected 'feature<TAB>weight'")
                 try:
-                    weights[parts[0]] = float(parts[1])
+                    w = float(parts[1])
                 except ValueError:
                     raise ValueError(f"{path}: line {i + 1}: bad weight {parts[1]!r}")
+                if not math.isfinite(w):
+                    raise ValueError(f"{path}: line {i + 1}: non-finite weight "
+                                     f"for feature {parts[0]!r}: {w}")
+                weights[parts[0]] = w
         return cls(weights)
 
 

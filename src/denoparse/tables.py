@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import io
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -145,14 +146,29 @@ class Example:
         return tuple(t for t in self.question_tokens if parse_number(t) is not None)
 
 
+def _read_rows(path: str, delimiter: str) -> list[tuple[int, list[str]]]:
+    """The rows of a UTF-8 file (a leading BOM is dropped), each with the
+    file line it ends on. Bytes that are not UTF-8 and rows the csv module
+    refuses raise an IngestionError naming the line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as e:
+        line = e.object.count(b"\n", 0, e.start) + 1
+        raise IngestionError(f"{path}:{line}: not UTF-8 ({e.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    try:
+        return [(reader.line_num, row) for row in reader]
+    except csv.Error as e:
+        raise IngestionError(f"{path}:{reader.line_num}: {e}") from None
+
+
 def load_table(path: str, table_id: str | None = None) -> Table:
     """Load one CSV table; first row is the header."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise IngestionError(f"table file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        # each row with the file line it ends on
-        rows = [(reader.line_num, row) for row in reader]
+    rows = _read_rows(path, ",")
     if not rows:
         raise IngestionError(f"{path}: no header")
     header = tuple(rows[0][1])
@@ -191,8 +207,8 @@ def _parse_coords(field: str, where: str) -> frozenset[tuple[int, int]] | None:
         return None
     try:
         items = ast.literal_eval(field)
-    except (ValueError, SyntaxError):
-        raise IngestionError(f"{where}: unparseable answer_coordinates {field!r}")
+    except (ValueError, SyntaxError, TypeError):
+        raise IngestionError(f"{where}: unparseable answer_coordinates {field!r}") from None
     if not isinstance(items, (list, tuple, set)):
         raise IngestionError(f"{where}: answer_coordinates {field!r} is not a list")
     coords = set()
@@ -225,7 +241,7 @@ def _parse_answer_text(field: str, where: str) -> list[str]:
         if isinstance(items, (list, tuple)):
             return [str(x) for x in items]
         return [str(items)]
-    except (ValueError, SyntaxError):
+    except (ValueError, SyntaxError, TypeError):
         # plain single-answer field
         return [field]
 
@@ -238,23 +254,25 @@ def load_dataset(questions_path: str, tables_dir: str):
     sequences is a list of position-sorted Example lists and tables maps
     table_ref -> Table.
     """
-    if not os.path.exists(questions_path):
+    if not os.path.isfile(questions_path):
         raise IngestionError(f"question file not found: {questions_path}")
-    with open(questions_path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f, delimiter="\t")
-        if reader.fieldnames is None:
-            raise IngestionError(f"{questions_path}: empty file")
-        missing = [c for c in QUESTION_FIELDS if c not in reader.fieldnames]
-        if missing:
-            raise IngestionError(f"{questions_path}: missing columns {missing}")
-        # each row with the file line it ends on
-        raw_rows = [(reader.line_num, row) for row in reader]
+    rows = _read_rows(questions_path, "\t")
+    if not rows:
+        raise IngestionError(f"{questions_path}: empty file")
+    header = rows[0][1]
+    missing = [c for c in QUESTION_FIELDS if c not in header]
+    if missing:
+        raise IngestionError(f"{questions_path}: missing columns {missing}")
 
-    groups: dict[str, list[Example]] = {}
+    # sequence id -> (position, file line, example) of each question
+    groups: dict[str, list[tuple[int, int, Example]]] = {}
     tables: dict[str, Table] = {}
-    for line, row in raw_rows:
+    for line, values in rows[1:]:
+        if not values:  # a blank line
+            continue
+        row = dict(zip(header, values))
         where = f"{questions_path}:{line}"
-        short = [c for c in QUESTION_FIELDS if row[c] is None]
+        short = [c for c in QUESTION_FIELDS if c not in row]
         if short:
             raise IngestionError(f"{where}: row is missing {', '.join(short)}")
         seq_id = f"{row['id']}/{row['annotator']}"
@@ -264,22 +282,27 @@ def load_dataset(questions_path: str, tables_dir: str):
             raise IngestionError(f"{where}: bad position {row['position']!r}")
         table_ref = row["table_file"]
         if table_ref not in tables:
+            path = os.path.join(tables_dir, table_ref)
+            if not os.path.isfile(path):
+                raise IngestionError(f"{where}: table file not found: {path}")
             stem = os.path.splitext(os.path.basename(table_ref))[0]
-            tables[table_ref] = load_table(os.path.join(tables_dir, table_ref),
-                                           table_id=stem)
+            tables[table_ref] = load_table(path, table_id=stem)
         coords = _parse_coords(row["answer_coordinates"], where)
         texts = _parse_answer_text(row["answer_text"], where)
         gold = AnswerSet.from_texts(texts, coords)
         groups.setdefault(seq_id, []).append(
-            Example(seq_id, position, row["question"], table_ref, gold))
+            (position, line, Example(seq_id, position, row["question"], table_ref, gold)))
 
     sequences = []
-    for seq_id, examples in groups.items():
-        examples.sort(key=lambda e: e.position)
-        positions = [e.position for e in examples]
-        if positions != list(range(len(examples))):
-            raise IngestionError(f"sequence {seq_id}: positions {positions} are not consecutive from 0")
-        sequences.append(examples)
+    for seq_id, questions in groups.items():
+        questions.sort(key=lambda q: q[0])
+        # the line of the first question out of place
+        bad = next((line for i, (p, line, _) in enumerate(questions) if p != i), None)
+        if bad is not None:
+            positions = [p for p, _, _ in questions]
+            raise IngestionError(f"{questions_path}:{bad}: sequence {seq_id}: positions "
+                                 f"{positions} are not consecutive from 0")
+        sequences.append([e for _, _, e in questions])
     return sequences, tables
 
 

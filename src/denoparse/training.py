@@ -24,6 +24,13 @@ class TrainingError(Exception):
     pass
 
 
+# weight initialization: a coverage prior on the recall feature and a small
+# per-condition cost (TrainConfig.condition_prior), so the very first
+# reference programs are short ones that mention what the question
+# mentions, instead of whatever serializes first among score ties
+RECALL_PRIOR = -1.0
+
+
 @dataclass
 class TrainConfig:
     update_spec: UpdateSpec = field(default_factory=lambda: parse_update_spec("maver"))
@@ -35,11 +42,7 @@ class TrainConfig:
     refit: bool = False
     model_shaping: bool = False
     grad_clip: float | None = None  # optional L2 clip (10 is the safe choice)
-    # weight initialization: a coverage prior on the recall feature and a
-    # small per-condition cost, so the very first reference programs are
-    # short ones that mention what the question mentions, instead of
-    # whatever serializes first among score ties
-    recall_prior: float = -1.0
+    # initial weight of each condition kind; see RECALL_PRIOR
     condition_prior: float = -0.1
     # dev accuracy is exact; train accuracy is estimated on this many
     # sequences to keep epochs cheap (0 = skip)
@@ -157,9 +160,7 @@ def _sgd_pass(flat, tables, lexicon, config: TrainConfig, theta: ParamVector,
 
 
 def _initial_theta(config: TrainConfig) -> ParamVector:
-    theta = ParamVector()
-    if config.recall_prior:
-        theta.weights[RECALL_FEATURE] = config.recall_prior
+    theta = ParamVector({RECALL_FEATURE: RECALL_PRIOR})
     if config.condition_prior:
         for kind in CONDITION_KINDS:
             theta.weights[f"act={kind}"] = config.condition_prior

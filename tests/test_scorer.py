@@ -238,3 +238,7 @@ def test_checkpoint_load_errors(tmp_path):
     bad.write_text("feature\tnot-a-float\n")
     with pytest.raises(ValueError, match="line 1"):
         ParamVector.load(str(bad))
+    for weight in ("nan", "inf", "-inf", "1e999"):
+        bad.write_text(f"feature\t1.0\nother\t{weight}\n")
+        with pytest.raises(ValueError, match=r"bad\.tsv: line 2: non-finite weight"):
+            ParamVector.load(str(bad))

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from denoparse import programs as P
+from denoparse import search
 from denoparse.critique import Lexicon, critique_score, default_lexicon
 from denoparse.scorer import ParamVector, action_features, featurize, score
 from denoparse.search import SearchConfig, beam_search, dump_record, rank_key
@@ -376,3 +377,31 @@ def test_ranking_steps_each_parent_rows_and_action_once(monkeypatch):
     assert len(ranking) > cfg.beam_size
     assert len(ranking) == len(set(ranking))
     assert got.entries == want.entries
+
+
+def test_beam_search_calls_each_phase_once_per_step(monkeypatch):
+    # each phase of a search is a method of search._Search, so a wrapper
+    # patched onto it sees every call: the i-th step expands a beam of
+    # i-action states, ranks and selects once, and the search gives its
+    # candidates once, the same entries as unwrapped
+    ex, table, theta, prev = _followup_case()
+    cfg = SearchConfig(beam_size=4, max_actions=5, lambda_weight=math.inf,
+                       shaping_enabled=True)
+    want = beam_search(ex, table, theta, default_lexicon(), cfg, prev)
+    calls = []
+
+    def counting(name, phase):
+        def wrapper(self, *args):
+            calls.append((name, {len(h.actions) for h in args[0]} if name == "expand" else None))
+            return phase(self, *args)
+        return wrapper
+
+    for name in ("expand", "rank", "select", "candidates"):
+        monkeypatch.setattr(search._Search, name, counting(name, getattr(search._Search, name)))
+    got = beam_search(ex, table, theta, default_lexicon(), cfg, prev)
+    assert got.entries == want.entries
+    # the search stops early once a step leaves no incomplete child
+    n = len(calls) // 3
+    assert 1 < n <= cfg.max_actions
+    steps = [[("expand", {i}), ("rank", None), ("select", None)] for i in range(n)]
+    assert calls == sum(steps, []) + [("candidates", None)]

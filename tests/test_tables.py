@@ -1,6 +1,12 @@
-import pytest
-from hypothesis import given, strategies as st
+import functools
+import os
+import re
+import tempfile
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from denoparse.synth import SynthConfig, generate_corpus, write_corpus
 from denoparse.tables import (AnswerSet, Cell, IngestionError, exact_match,
                               jaccard, load_dataset, load_table, write_dataset,
                               write_table)
@@ -179,6 +185,21 @@ def test_load_dataset_errors(tmp_path):
     with pytest.raises(IngestionError, match="bad coordinate"):
         load_dataset(str(qfile), str(tdir))
 
+    # a table reference that is a directory names the question's line
+    qfile.write_text(header + "q\t0\t0\twho?\t.\t['(0, 0)']\t['x']\n")
+    with pytest.raises(IngestionError, match=r"questions\.tsv:2: table file not found"):
+        load_dataset(str(qfile), str(tdir))
+
+    qfile.write_bytes((header + "q\t0\t0\twho?\tt0.csv\t\t['Ad\xe9']\n").encode("latin-1"))
+    with pytest.raises(IngestionError, match=r"questions\.tsv:2: not UTF-8"):
+        load_dataset(str(qfile), str(tdir))
+
+    # a cell longer than the csv module's field limit
+    qfile.write_text(header + "q\t0\t0\twho?\tt0.csv\t\t['Ada']\n")
+    (tdir / "t0.csv").write_text("Name,Points\nAda,3\n" + "x" * 131_073 + ",7\n")
+    with pytest.raises(IngestionError, match=r"t0\.csv:3: field larger than field limit"):
+        load_dataset(str(qfile), str(tdir))
+
 
 _HEADER = ("id\tannotator\tposition\tquestion\ttable_file\t"
            "answer_coordinates\tanswer_text\n")
@@ -240,3 +261,79 @@ def test_example_question_tokens(squad_table):
     ex = example_for(squad_table, "Who scored 21 points?", ["England"])
     assert ex.question_tokens == ("who", "scored", "21", "points")
     assert ex.question_numbers == ("21",)
+
+
+@functools.cache
+def _synth_files() -> tuple[tuple[str, bytes], ...]:
+    """The files of a small valid synth corpus, as (relative path, bytes)."""
+    with tempfile.TemporaryDirectory() as d:
+        write_corpus(generate_corpus(SynthConfig(sequences=4, seed=3, min_rows=2,
+                                                 max_rows=3)), d)
+        paths = ["questions.tsv"] + sorted(
+            os.path.join("tables", n) for n in os.listdir(os.path.join(d, "tables")))
+        return tuple((p, open(os.path.join(d, p), "rb").read()) for p in paths)
+
+
+def _load(files: dict[str, bytes]):
+    """load_dataset on the files, written to a new directory."""
+    with tempfile.TemporaryDirectory() as d:
+        os.mkdir(os.path.join(d, "tables"))
+        for rel, data in files.items():
+            with open(os.path.join(d, rel), "wb") as f:
+                f.write(data)
+        try:
+            return load_dataset(os.path.join(d, "questions.tsv"), os.path.join(d, "tables"))
+        except IngestionError as e:
+            # the message with the directory left out
+            raise IngestionError(str(e).replace(d + os.sep, "")) from None
+
+
+# mutations of one data line, of one question line's fields, or of a file
+_LINE_MUTATIONS = {"truncate": None, "non-utf8": b"\xe9", "nul": b"\0", "quote": b'"'}
+_FIELD_MUTATIONS = {"drop-tab": b"\t", "double-tab": b"\t", "break-list": b"[]()',"}
+_FILE_MUTATIONS = ("bom", "line-endings", "empty-table")
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(sorted(_LINE_MUTATIONS) + sorted(_FIELD_MUTATIONS)
+                       + list(_FILE_MUTATIONS)), st.data())
+def test_mutated_corpus_loads_or_names_the_file_and_line(mutation, data):
+    # a damaged corpus either loads or fails with an IngestionError that
+    # names the damaged file, and its line when a data line is damaged; a
+    # BOM or the other line ending loads the same corpus
+    files = dict(_synth_files())
+    tables = [rel for rel in files if rel != "questions.tsv"]
+    rel = data.draw(st.sampled_from(tables if mutation == "empty-table" else
+                                    ["questions.tsv"] if mutation in _FIELD_MUTATIONS
+                                    else sorted(files)))
+    clean = files[rel]
+    if mutation == "bom":
+        files[rel] = b"\xef\xbb\xbf" + clean
+    elif mutation == "line-endings":
+        lf = clean.replace(b"\r\n", b"\n")
+        files[rel] = lf if lf != clean else lf.replace(b"\n", b"\r\n")
+    elif mutation == "empty-table":
+        files[rel] = b""
+    else:
+        lines = clean.splitlines(keepends=True)
+        at = data.draw(st.integers(1, len(lines) - 1))  # a data line
+        line = lines[at]
+        if mutation == "truncate":
+            line = line[:data.draw(st.integers(0, len(line) - 1))]
+        elif mutation in _LINE_MUTATIONS:
+            k = data.draw(st.integers(0, len(line) - 1))
+            line = line[:k] + _LINE_MUTATIONS[mutation] + line[k:]
+        else:
+            k = data.draw(st.sampled_from(
+                [i for i, b in enumerate(line) if b in _FIELD_MUTATIONS[mutation]]))
+            line = line[:k] + (b"\t\t" if mutation == "double-tab" else b"") + line[k + 1:]
+        lines[at] = line
+        files[rel] = b"".join(lines)
+    if mutation in ("bom", "line-endings"):
+        assert _load(files) == _load(dict(_synth_files()))
+        return
+    try:
+        _load(files)
+    except IngestionError as e:
+        where = re.escape(rel) + (": " if mutation in _FILE_MUTATIONS else r":\d+: ")
+        assert re.match(where, str(e)), (mutation, str(e))
