@@ -18,11 +18,23 @@ execution are not copied here: a state's legal kinds come from
 that cannot reach Stop within the action and condition budgets, and its
 rows come from `programs.step` over one `programs.ExecContext` per search.
 One `_Search` holds a search's state; `beam_search` drives its phases.
+
+Only children that can reach the beam get a rank value. At lambda =
+infinity a child below the beam_size-th best reward cannot. At finite
+lambda each action has a bound that does not depend on the parent: its
+dot product plus the most the recall term can add. Each group's actions
+are sorted by it once per search, and ranking scans the (parent, group)
+pairs best parent first, scoring only the prefix of a group whose
+optimistic key (parent score + bound + lambda * the pair's best reward +
+the shaping bound) reaches the beam_size-th best key so far. The bound
+and the score add in different orders, so the prefix widens by a
+relative float margin, and a child whose bound ties the cut is scored.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -123,7 +135,7 @@ class _Group:
     co-occurrence weights once. `tokens` holds each action's serialization
     tokens [not after OR, after OR], joined the first time one is needed."""
     __slots__ = ("actions", "dots", "surf_nonkw", "surf_e1", "bits", "all_bits",
-                 "keywords", "kw_weights", "tokens")
+                 "keywords", "kw_weights", "tokens", "bound_order")
 
 
 def action_dot(featurizer: ActionFeaturizer, weights: dict[str, float],
@@ -242,6 +254,7 @@ class _Search:
         g.kw_weights = tuple((self.mask((x,)), self.kw_weight[x])
                              for x in keywords if x in self.kw_weight)
         g.tokens = ([None] * len(actions), [None] * len(actions))
+        g.bound_order = None
         return g
 
     def legal(self, hyp: _Hyp) -> list[_Group]:
@@ -324,39 +337,106 @@ class _Search:
                 children.append((hyp, g, idx, self.rewards(hyp, g, idx) if use_reward else None))
         return children
 
+    def bounds(self, g: _Group) -> tuple:
+        """g's indices in bound order, their negated bounds, and the most
+        an action's score terms weigh, made the first time a search scans
+        g. The bound b_i = dots[i] + max(0, -w_recall) *
+        popcount(surf_e1[i]) / |e1| is at least what action i adds to any
+        parent's score, since the question's table tokens a child newly
+        covers are among the action's own; it sorts largest first."""
+        if g.bound_order is None:
+            per_token = max(0.0, -self.w_recall) / len(self.e1) if self.e1 else 0.0
+            b = [d + per_token * m.bit_count() for d, m in zip(g.dots, g.surf_e1)]
+            order = sorted(range(len(b)), key=b.__getitem__, reverse=True)
+            g.bound_order = (order, [-b[i] for i in order],
+                             max(map(abs, g.dots)) + abs(self.w_recall))
+        return g.bound_order
+
     def rank(self, children: list[tuple]) -> tuple[list, list]:
         """Pass 2: the rank value and (parent, group, index, score) of each
-        child in the running. When the rank is lexicographic (lambda = inf)
-        and there are more than beam_size children, the floor is the
-        beam_size-th largest reward: a child below it ranks after at least
-        beam_size others, so it cannot survive, and every child tied at the
-        floor stays in the running. Only the children at or above the floor
-        (all of them, otherwise) get a rank value, `rank_key` without its
-        serialization tie-break: the score from the action's dot product
-        and the recall term, and the critique from token bitmasks only when
-        shaping puts it in the key. `CandidateSet.ranked` counts them."""
-        n = self.config.beam_size
-        floor = None
-        if self.config.lambda_weight == math.inf and sum(len(c[2]) for c in children) > n:
-            floor = heapq.nlargest(n, chain.from_iterable(c[3] for c in children))[-1]
-        rank, shaping, q_mask = self.rank_value, self.config.shaping_enabled, self.q_mask
+        child in the running, in (parent, group, index) order. A rank value
+        is `rank_key` without its serialization tie-break: the score from
+        the action's dot product and the recall term, and the critique from
+        token bitmasks only when shaping puts it in the key.
+        `CandidateSet.ranked` counts the children given one.
+
+        At lambda = inf, with more than beam_size children, the floor is
+        the beam_size-th largest reward: a child below it ranks after at
+        least beam_size others, so it cannot survive. Only the children at
+        or above the floor (all of them, otherwise) are ranked.
+
+        At finite lambda the (parent, group) pairs are scanned in beam
+        order, best parent first, keeping the beam_size best values seen.
+        A child's key is at most hyp.score + b_i + lambda * max(rewards)
+        + the shaping bound, eta * (1 + co-occurrence) for eta >= 0 and
+        eta * co-occurrence below, as the critique's match fraction is in
+        [0, 1]. Each pair ranks only the prefix of its bound order whose
+        optimistic key reaches the beam_size-th best so far; a child
+        below it ranks after beam_size others. The bound adds in another
+        order than the score, so the prefix widens by 1e-9 times the sum
+        of the magnitudes of a key's terms, far above their rounding
+        error, and a child whose bound ties the cut is ranked."""
+        n, lam = self.config.beam_size, self.config.lambda_weight
+        shaping, eta = self.config.shaping_enabled, self.config.eta
         values: list = []
         pending: list = []
+        if lam == math.inf:
+            floor = None
+            if sum(len(c[2]) for c in children) > n:
+                floor = heapq.nlargest(n, chain.from_iterable(c[3] for c in children))[-1]
+            for hyp, g, idx, rw in children:
+                if floor is not None:
+                    if not rw or max(rw) < floor:
+                        continue
+                    idx = [i for i, r in zip(idx, rw) if r >= floor]
+                    rw = [r for r in rw if r >= floor]
+                self.add_values(values, pending, hyp, g, idx, rw,
+                                _cooccurrence(hyp, g) if shaping else 0)
+            return values, pending
+        best: list = []  # the beam_size smallest values so far, ascending
         for hyp, g, idx, rw in children:
-            if floor is not None:
-                if not rw or max(rw) < floor:
-                    continue
-                idx = [i for i, r in zip(idx, rw) if r >= floor]
-                rw = [r for r in rw if r >= floor]
-            scores = self.child_scores(hyp, g, idx)
-            crits = repeat(0.0)
+            if not idx:
+                continue
+            cooccur = _cooccurrence(hyp, g) if shaping else 0
+            # the most a child's key adds to hyp.score + b_i, and the most
+            # its reward and critique terms weigh
+            extra, size = (lam * max(rw), lam) if rw else (0.0, 0.0)
             if shaping:
-                nonkw, cooccur, surf = hyp.nonkw, _cooccurrence(hyp, g), g.surf_nonkw
-                crits = [_critique(nonkw | surf[i], cooccur, q_mask) for i in idx]
-            values += map(rank, repeat(0.0) if rw is None else rw, scores, crits)
-            pending += zip(repeat(hyp), repeat(g), idx, scores)
-        self.ranked += len(values)
+                extra += eta * (1 + cooccur) if eta >= 0 else eta * cooccur
+                size += abs(eta) * (1 + cooccur)
+            order, neg_bounds, scale = self.bounds(g)
+            if len(best) == n:
+                cut, h_score = best[-1], hyp.score
+                size += abs(h_score) + abs(cut) + scale
+                order = order[:bisect_right(neg_bounds, h_score + extra + cut + 1e-9 * size)]
+                if not order:
+                    continue
+            order = sorted(order)
+            if hyp.used & g.all_bits:
+                order = [i for i in order if not hyp.used & g.bits[i]]
+            if rw is not None:
+                rw = list(map(dict(zip(idx, rw)).__getitem__, order))
+            best += self.add_values(values, pending, hyp, g, order, rw, cooccur)
+            best.sort()
+            del best[n:]
         return values, pending
+
+    def add_values(self, values: list, pending: list, hyp: _Hyp, g: _Group, idx, rw,
+                   cooccur: int) -> list:
+        """Append the rank values and (parent, group, index, score) of
+        hyp's children by g.actions[i], i in idx, to values and pending,
+        given their rewards rw (None at lambda = 0) and the pair's
+        co-occurrence weight; return the new values."""
+        scores = self.child_scores(hyp, g, idx)
+        crits = repeat(0.0)
+        if self.config.shaping_enabled:
+            nonkw, surf, q_mask = hyp.nonkw, g.surf_nonkw, self.q_mask
+            crits = [_critique(nonkw | surf[i], cooccur, q_mask) for i in idx]
+        new = list(map(self.rank_value, repeat(0.0) if rw is None else rw, scores, crits))
+        values += new
+        pending += zip(repeat(hyp), repeat(g), idx, scores)
+        self.ranked += len(new)
+        return new
 
     def select(self, values: list, pending: list) -> list[_Hyp]:
         """The next beam. `heapq.nsmallest` finds the beam_size-th smallest

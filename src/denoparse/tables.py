@@ -233,24 +233,30 @@ def _coordinate(item) -> tuple[int, int]:
 
 
 def _parse_answer_text(field: str, where: str) -> list[str]:
+    """The answers of an answer_text field: a field that starts with "["
+    is a Python list literal of answers, any other is one answer, taken
+    verbatim (so "1,234" and "1e3" stay one answer each)."""
     field = field.strip()
     if not field:
         raise IngestionError(f"{where}: empty answer_text")
+    if not field.startswith("["):
+        return [field]
     try:
         items = ast.literal_eval(field)
-        if isinstance(items, (list, tuple)):
-            return [str(x) for x in items]
-        return [str(items)]
     except (ValueError, SyntaxError, TypeError):
-        # plain single-answer field
-        return [field]
+        items = None
+    if not isinstance(items, list):
+        raise IngestionError(f"{where}: answer_text {field!r} is not a list literal")
+    return [str(x) for x in items]
 
 
 def load_dataset(questions_path: str, tables_dir: str):
     """Load a question TSV plus every table it references.
 
     The TSV columns are id, annotator, position, question, table_file,
-    answer_coordinates, answer_text. Returns (sequences, tables) where
+    answer_coordinates, answer_text; an answer_text is a list literal of
+    answers or one plain answer, and a row with more cells than the header
+    is refused. Returns (sequences, tables) where
     sequences is a list of position-sorted Example lists and tables maps
     table_ref -> Table.
     """
@@ -270,8 +276,10 @@ def load_dataset(questions_path: str, tables_dir: str):
     for line, values in rows[1:]:
         if not values:  # a blank line
             continue
-        row = dict(zip(header, values))
         where = f"{questions_path}:{line}"
+        if len(values) > len(header):
+            raise IngestionError(f"{where}: row has {len(values)} cells, expected {len(header)}")
+        row = dict(zip(header, values))
         short = [c for c in QUESTION_FIELDS if c not in row]
         if short:
             raise IngestionError(f"{where}: row is missing {', '.join(short)}")

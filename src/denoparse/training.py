@@ -65,6 +65,7 @@ class EpochStats:
     skipped: int
     zero_updates: int
     wall_time: float
+    ranked_per_search: float = 0.0  # mean CandidateSet.ranked of the SGD pass's searches
 
 
 @dataclass
@@ -132,9 +133,10 @@ def _clip(delta: dict, limit: float | None) -> dict:
 
 
 def _sgd_pass(flat, tables, lexicon, config: TrainConfig, theta: ParamVector,
-              rng: random.Random) -> tuple[int, int]:
-    """One epoch of per-example updates; returns (skipped, zero_updates)."""
-    skipped = zero = 0
+              rng: random.Random) -> tuple[int, int, float]:
+    """One epoch of per-example updates; returns (skipped, zero_updates,
+    the mean number of children its searches ranked)."""
+    skipped = zero = ranked = 0
     order = list(range(len(flat)))
     rng.shuffle(order)
     shaping_eta = config.search.eta if config.search.shaping_enabled else None
@@ -143,6 +145,7 @@ def _sgd_pass(flat, tables, lexicon, config: TrainConfig, theta: ParamVector,
         ex, prev = flat[j]
         table = tables[ex.table_ref]
         K = beam_search(ex, table, theta, lexicon, config.search, prev)
+        ranked += K.ranked
         if not K:
             skipped += 1
             continue
@@ -156,7 +159,7 @@ def _sgd_pass(flat, tables, lexicon, config: TrainConfig, theta: ParamVector,
                 f"epoch update failed at example {ex.sequence_id}:{ex.position}: {e}")
         skipped += res.skipped
         zero += res.zero
-    return skipped, zero
+    return skipped, zero, ranked / len(flat) if flat else 0.0
 
 
 def _initial_theta(config: TrainConfig) -> ParamVector:
@@ -188,7 +191,7 @@ def train(sequences, tables: dict[str, Table], lexicon: Lexicon | None,
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         try:
-            skipped, zero = _sgd_pass(flat, tables, lexicon, config, theta, rng)
+            skipped, zero, ranked = _sgd_pass(flat, tables, lexicon, config, theta, rng)
         except TrainingError as e:
             raise TrainingError(f"epoch {epoch}: {e}")
         dev_acc = evaluate(dev_seqs, tables, theta, config.search, lexicon,
@@ -197,7 +200,7 @@ def train(sequences, tables: dict[str, Table], lexicon: Lexicon | None,
                               model_shaping=config.model_shaping)
                      if acc_seqs else None)
         history.epochs.append(EpochStats(dev_acc, train_acc, skipped, zero,
-                                         time.perf_counter() - t0))
+                                         time.perf_counter() - t0, ranked))
         if dev_acc > best_acc:
             best_acc = dev_acc
             best_theta = theta.copy()

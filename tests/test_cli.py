@@ -58,9 +58,12 @@ def test_train_writes_checkpoint_and_report(corpus_dir, tmp_path, capsys):
     csv_text = (tmp_path / "report.csv").read_text().splitlines()
     assert csv_text[0].startswith("epoch,dev_accuracy")
     assert len(csv_text) == 3
-    assert csv_text[0] == "epoch,dev_accuracy,train_accuracy,skipped,zero_updates,wall_time"
-    wall_time = csv_text[1].split(",")[-1]
+    assert csv_text[0] == ("epoch,dev_accuracy,train_accuracy,skipped,zero_updates,wall_time,"
+                           "ranked_per_search")
+    wall_time, ranked = csv_text[1].split(",")[-2:]
     assert len(wall_time.split(".")[1]) == 3
+    assert float(ranked) > 0
+    assert report["history"]["epochs"][0]["ranked_per_search"] == float(ranked)
 
 
 def test_csv_report_path_is_a_usage_error(corpus_dir, tmp_path, capsys):

@@ -268,6 +268,50 @@ def test_narrow_beams_match_eager_reference():
                             abs=1e-9)
 
 
+def test_bound_scan_matches_eager_reference():
+    # at finite lambda a search ranks, per (parent, group), only the
+    # children whose bound can reach the beam_size-th best key so far; the
+    # entries must stay the eager search's at every recall sign and
+    # shaping sign, under all-tied scores (a child tied at the cut decides
+    # the survivors by serialization) and at large weights. Decimal
+    # weights make sums that are equal in exact arithmetic round apart,
+    # and the bound adds in another order than the score, so a stop test
+    # without its float margin drops children here
+    corpus = generate_corpus(SynthConfig(sequences=2, seed=9, min_rows=2,
+                                         max_rows=3))
+    lex = default_lexicon()
+    rng = random.Random(8)
+    cases = []
+    for seq, position in zip(corpus.sequences, (0, 1)):
+        ex = seq[position]
+        cases.append((ex, corpus.tables[ex.table_ref],
+                      seq[position - 1].gold_answer if position else None))
+    feats = set()
+    for ex, table, _ in cases:
+        for a in P.head_actions(table, 1) + P.condition_actions(
+                table, ex.question_numbers) + (P.Action(P.OR), P.Action(P.STOP)):
+            feats.update(action_features(a, ex.question_tokens, table))
+    coarse = {f: rng.choice((-0.3, 0.0, 0.1, 0.2, 0.7)) for f in sorted(feats)}
+    thetas = []
+    for recall in (-1.0, 0.0, 1.0):
+        thetas += [ParamVector({**coarse, "recall": recall}),
+                   ParamVector({"recall": recall}),  # all zero at recall 0
+                   ParamVector({f: w * 1e12 for f, w in {**coarse, "recall": recall}.items()})]
+    for theta in thetas:
+        for lam in (0.0, 0.5):
+            for shaping, eta in ((False, 5.0), (True, 5.0), (True, 0.0), (True, -5.0)):
+                for beam in (1, 2, 3, 8):
+                    cfg = SearchConfig(beam_size=beam, max_actions=4, max_conditions=2,
+                                       lambda_weight=lam, shaping_enabled=shaping, eta=eta)
+                    # the cases take turns, which halves the eager searches
+                    ex, table, prev = cases[beam % 2]
+                    got = beam_search(ex, table, theta, lex, cfg, prev)
+                    want = reference_beam_search(ex, table, theta, lex, cfg, prev)
+                    assert got.entries == want.entries, \
+                        (ex.position, theta.get("recall"), lam, shaping, eta, beam)
+                    assert got.ranked <= want.ranked
+
+
 def test_candidate_set_featurizer_matches_featurize():
     # the update reads each candidate's features from the featurizer the
     # search returns, so they must be featurize's, key order included
@@ -344,10 +388,13 @@ def test_reward_floor_ranks_fewer_children_at_lambda_inf():
         assert want.ranked > cfg.beam_size
         assert 0 < got.ranked < want.ranked
         assert got.entries == want.entries
-    # without a floor every legal incomplete child is ranked
+    # at lambda = 0 the bound-ordered scan ranks only children whose bound
+    # reaches the cut, so fewer than every legal incomplete child
     cfg = SearchConfig(beam_size=4, max_actions=5, lambda_weight=0.0)
-    assert beam_search(ex, table, theta, lex, cfg, prev).ranked == \
-        reference_beam_search(ex, table, theta, lex, cfg, prev).ranked
+    got = beam_search(ex, table, theta, lex, cfg, prev)
+    want = reference_beam_search(ex, table, theta, lex, cfg, prev)
+    assert 0 < got.ranked < want.ranked
+    assert got.entries == want.entries
 
 
 def test_ranking_steps_each_parent_rows_and_action_once(monkeypatch):

@@ -165,6 +165,16 @@ def test_load_dataset_plain_answer_field(tmp_path):
     assert sequences[0][0].gold_answer.coords is None
 
 
+@pytest.mark.parametrize("field, values", [
+    ("1,234", {"1,234"}), ("1e3", {"1e3"}), ("'Ada'", {"'ada'"}), ("Ada, Bo", {"ada, bo"}),
+    ("['1,234', 'Bo']", {"1,234", "bo"}), ("[7, 'Ada']", {"7", "ada"})])
+def test_load_dataset_answer_text_is_a_list_literal_or_one_answer(tmp_path, field, values):
+    # only a field that starts with "[" is parsed; any other is one answer
+    load = _load_rows(tmp_path, f"q\t0\t0\twho?\tt0.csv\t\t{field}\n")
+    sequences, _ = load()
+    assert sequences[0][0].gold_answer.values == frozenset(values)
+
+
 def test_load_dataset_errors(tmp_path):
     qfile, tdir = _write_corpus(tmp_path)
     header = ("id\tannotator\tposition\tquestion\ttable_file\t"
@@ -192,6 +202,18 @@ def test_load_dataset_errors(tmp_path):
 
     qfile.write_bytes((header + "q\t0\t0\twho?\tt0.csv\t\t['Ad\xe9']\n").encode("latin-1"))
     with pytest.raises(IngestionError, match=r"questions\.tsv:2: not UTF-8"):
+        load_dataset(str(qfile), str(tdir))
+
+    # a field that starts with "[" must be a list literal
+    for field in ("['Ada'", "['Ada'] x", "[1][0]", "[x]"):
+        qfile.write_text(header + f"q\t0\t0\twho?\tt0.csv\t\t{field}\n")
+        with pytest.raises(IngestionError,
+                           match=r"questions\.tsv:2: answer_text .* is not a list literal"):
+            load_dataset(str(qfile), str(tdir))
+
+    # cells past the header are refused, not dropped
+    qfile.write_text(header + "q\t0\t0\twho?\tt0.csv\t\t['Ada']\textra\tcells\n")
+    with pytest.raises(IngestionError, match=r"questions\.tsv:2: row has 9 cells, expected 7"):
         load_dataset(str(qfile), str(tdir))
 
     # a cell longer than the csv module's field limit

@@ -120,7 +120,8 @@ def test_run_report_summarizes_history():
         "stability": pytest.approx(0.02), "skipped_total": 2,
         "zero_updates_total": 3, "n_weights": 2}
     assert list(report["history"]["epochs"][0]) == [
-        "dev_accuracy", "train_accuracy", "skipped", "zero_updates", "wall_time"]
+        "dev_accuracy", "train_accuracy", "skipped", "zero_updates", "wall_time",
+        "ranked_per_search"]
     assert run_report(history_with([0.5]), ParamVector())["stability"] is None
 
 
