@@ -23,18 +23,22 @@ Only children that can reach the beam get a rank value. At lambda =
 infinity a child below the beam_size-th best reward cannot. At finite
 lambda each action has a bound that does not depend on the parent: its
 dot product plus the most the recall term can add. Each group's actions
-are sorted by it once per search, and ranking scans the (parent, group)
-pairs best parent first, scoring only the prefix of a group whose
-optimistic key (parent score + bound + lambda * the pair's best reward +
-the shaping bound) reaches the beam_size-th best key so far. The bound
-and the score add in different orders, so the prefix widens by a
-relative float margin, and a child whose bound ties the cut is scored.
+are sorted by it once per search; when shaping is on at eta > 0 they are
+first bucketed by their surface tokens' counts in and outside the
+question, which with the parent's counts bound the child's critique.
+Ranking scans the (parent, group) pairs best parent first, scoring only
+the prefix of each bucket whose optimistic key (parent score + bound +
+lambda * the pair's best reward + the critique bound) reaches the
+beam_size-th best key so far. The bound and the score add in different
+orders, so the prefix widens by a relative float margin, and a child
+whose bound ties the cut is scored. Likewise a completed child whose key
+is above the pool's beam_size-th best is never built.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -157,6 +161,15 @@ def _critique(nonkw: int, cooccur: int, q_mask: int) -> float:
     return ((nonkw & q_mask).bit_count() / n if n else 0.0) + cooccur
 
 
+def _fraction_bound(a: int, aq: int, sq: int, sn: int) -> float:
+    """The most the match fraction of a child can be, for a parent whose
+    non-keyword surface mask has a tokens, aq of them in the question, and
+    an action whose mask has sq tokens in the question and sn outside it
+    (the argument is in `_Search.rank`)."""
+    d = a + sq + max(0, sn - (a - aq))
+    return (aq + sq) / d if d else 0.0
+
+
 def _cooccurrence(hyp: _Hyp, g: _Group) -> int:
     """The co-occurrence weight of hyp's children by the actions of g."""
     if g.kw_weights:
@@ -167,8 +180,9 @@ def _cooccurrence(hyp: _Hyp, g: _Group) -> int:
 class _Search:
     """The state of one beam search, built by candidate preparation, and
     its phases: `expand`, `rank` and `select` make one beam step,
-    `finalize` pools each completed program, and `candidates` gives the
-    result. A parent's children are handled one group at a time."""
+    `complete` and `finalize` pool each completed program that can be
+    kept, and `candidates` gives the result. A parent's children are
+    handled one group at a time."""
 
     def __init__(self, example: Example, table: Table, theta: ParamVector,
                  lexicon: Lexicon, config: SearchConfig, prev_answer: AnswerSet | None):
@@ -220,6 +234,7 @@ class _Search:
         # the parent's child by each action of the group
         self.child_rows: dict[tuple, list[int]] = {}
         self.pool: dict[str, Candidate] = {}
+        self.best_keys: list = []  # the pool's beam_size smallest rank_keys, ascending
         self.ranked = 0
         self.root = _Hyp((), "", self.ctx.start, 0, self.w_recall if self.e1 else 0.0,
                          0, 0, 0)
@@ -321,15 +336,14 @@ class _Search:
         """Pass 1: each parent's legal incomplete children, one group at a
         time, as (parent, group, indices, rewards); rewards is None when
         lambda is 0. A parent's used conditions are dropped only from a
-        group that holds one. Completed children are built and finalized
-        here."""
+        group that holds one. Completed children go to `complete`."""
         children = []
         use_reward, stop = self.config.lambda_weight != 0.0, self.stop
         for hyp in beam:
             used = hyp.used
             for g in self.legal(hyp):
                 if g is stop:
-                    self.finalize(self.make_child(hyp, g, 0, self.child_scores(hyp, g, (0,))[0]))
+                    self.complete(hyp)
                     continue
                 idx = range(len(g.actions))
                 if used & g.all_bits:
@@ -338,17 +352,32 @@ class _Search:
         return children
 
     def bounds(self, g: _Group) -> tuple:
-        """g's indices in bound order, their negated bounds, and the most
-        an action's score terms weigh, made the first time a search scans
-        g. The bound b_i = dots[i] + max(0, -w_recall) *
-        popcount(surf_e1[i]) / |e1| is at least what action i adds to any
-        parent's score, since the question's table tokens a child newly
-        covers are among the action's own; it sorts largest first."""
+        """g's buckets and the most an action's score terms weigh, made the
+        first time the scan bounds a pair of g's. The bound b_i = dots[i] +
+        max(0, -w_recall) * popcount(surf_e1[i]) / |e1| is at least what
+        action i adds to any parent's score, since the question's table
+        tokens a child newly covers are among the action's own.
+
+        A bucket is (sq, sn, its indices sorted by b_i largest first, their
+        negated bounds). When shaping is on at eta > 0, g's actions are
+        bucketed by the counts of their non-keyword surface mask S in the
+        question's mask Q and outside it, sq = |S & Q| and sn = |S - Q|,
+        which bound the critique of any parent's child (see `rank`); at
+        any other setting the critique term needs no bound per action, and
+        g is one bucket with sq = sn = 0."""
         if g.bound_order is None:
             per_token = max(0.0, -self.w_recall) / len(self.e1) if self.e1 else 0.0
             b = [d + per_token * m.bit_count() for d, m in zip(g.dots, g.surf_e1)]
             order = sorted(range(len(b)), key=b.__getitem__, reverse=True)
-            g.bound_order = (order, [-b[i] for i in order],
+            buckets = {(0, 0): order}
+            if self.config.shaping_enabled and self.config.eta > 0:
+                q_mask, surf, buckets = self.q_mask, g.surf_nonkw, {}
+                for i in order:
+                    s = surf[i]
+                    buckets.setdefault(((s & q_mask).bit_count(), (s & ~q_mask).bit_count()),
+                                       []).append(i)
+            g.bound_order = ([(sq, sn, idx, [-b[i] for i in idx])
+                              for (sq, sn), idx in buckets.items()],
                              max(map(abs, g.dots)) + abs(self.w_recall))
         return g.bound_order
 
@@ -368,14 +397,24 @@ class _Search:
         At finite lambda the (parent, group) pairs are scanned in beam
         order, best parent first, keeping the beam_size best values seen.
         A child's key is at most hyp.score + b_i + lambda * max(rewards)
-        + the shaping bound, eta * (1 + co-occurrence) for eta >= 0 and
-        eta * co-occurrence below, as the critique's match fraction is in
-        [0, 1]. Each pair ranks only the prefix of its bound order whose
-        optimistic key reaches the beam_size-th best so far; a child
-        below it ranks after beam_size others. The bound adds in another
-        order than the score, so the prefix widens by 1e-9 times the sum
-        of the magnitudes of a key's terms, far above their rounding
-        error, and a child whose bound ties the cut is ranked."""
+        + the critique bound. For eta > 0 that is eta * (fb + co), with co
+        the pair's co-occurrence weight and fb a bound on the child's
+        match fraction from four counts: the parent's non-keyword surface
+        mask A has a = |A| tokens, aq = |A & Q| in the question and an =
+        a - aq outside it, and the action's bucket gives sq and sn. The
+        child A | S adds x <= sq question tokens and y >= max(0, sn - an)
+        others, and (aq + x) / (a + x + y) grows with x and falls with y,
+        so the fraction is at most fb = (aq + sq) / (a + sq + max(0, sn -
+        an)), or 0 when that denominator is 0 (then A | S is empty).
+        Correctly rounded division and addition are monotone, so the float
+        critique is at most the float fb + co as well. For eta <= 0 the
+        bound is eta * co, the fraction being at least 0, and unshaped it
+        is 0. Each pair ranks only the prefix of each bucket whose
+        optimistic key reaches the beam_size-th best so far; a child below
+        it ranks after beam_size others. The bound adds in another order
+        than the score, so the prefix widens by 1e-9 times the sum of the
+        magnitudes of a key's terms, far above their rounding error, and a
+        child whose bound ties the cut is ranked."""
         n, lam = self.config.beam_size, self.config.lambda_weight
         shaping, eta = self.config.shaping_enabled, self.config.eta
         values: list = []
@@ -393,30 +432,37 @@ class _Search:
                 self.add_values(values, pending, hyp, g, idx, rw,
                                 _cooccurrence(hyp, g) if shaping else 0)
             return values, pending
+        crit_weight = eta if shaping else 0.0
+        split, q_mask = shaping and eta > 0, self.q_mask
         best: list = []  # the beam_size smallest values so far, ascending
         for hyp, g, idx, rw in children:
             if not idx:
                 continue
             cooccur = _cooccurrence(hyp, g) if shaping else 0
-            # the most a child's key adds to hyp.score + b_i, and the most
-            # its reward and critique terms weigh
-            extra, size = (lam * max(rw), lam) if rw else (0.0, 0.0)
-            if shaping:
-                extra += eta * (1 + cooccur) if eta >= 0 else eta * cooccur
-                size += abs(eta) * (1 + cooccur)
-            order, neg_bounds, scale = self.bounds(g)
             if len(best) == n:
-                cut, h_score = best[-1], hyp.score
-                size += abs(h_score) + abs(cut) + scale
-                order = order[:bisect_right(neg_bounds, h_score + extra + cut + 1e-9 * size)]
+                buckets, scale = self.bounds(g)
+                h_score = hyp.score
+                # a child can reach the beam only if hyp.score + b_i +
+                # extra + its critique bound >= -cut, less the margin
+                extra, size = (lam * max(rw), lam) if rw else (0.0, 0.0)
+                size += abs(h_score) + abs(best[-1]) + scale + abs(crit_weight) * (1 + cooccur)
+                base = h_score + extra + best[-1] + 1e-9 * size
+                if split:
+                    a, aq = hyp.nonkw.bit_count(), (hyp.nonkw & q_mask).bit_count()
+                order = []
+                for sq, sn, b_order, neg_bounds in buckets:
+                    frac = _fraction_bound(a, aq, sq, sn) if split else 0.0
+                    order += b_order[:bisect_right(neg_bounds,
+                                                   base + crit_weight * (frac + cooccur))]
                 if not order:
                     continue
-            order = sorted(order)
-            if hyp.used & g.all_bits:
-                order = [i for i in order if not hyp.used & g.bits[i]]
-            if rw is not None:
-                rw = list(map(dict(zip(idx, rw)).__getitem__, order))
-            best += self.add_values(values, pending, hyp, g, order, rw, cooccur)
+                order.sort()
+                if hyp.used & g.all_bits:
+                    order = [i for i in order if not hyp.used & g.bits[i]]
+                if rw is not None:
+                    rw = list(map(dict(zip(idx, rw)).__getitem__, order))
+                idx = order
+            best += self.add_values(values, pending, hyp, g, idx, rw, cooccur)
             best.sort()
             del best[n:]
         return values, pending
@@ -475,19 +521,42 @@ class _Search:
                     hyp.nonkw | g.surf_nonkw[i], hyp.keywords | g.keywords,
                     _cooccurrence(hyp, g))
 
+    def complete(self, hyp: _Hyp):
+        """Build and finalize hyp's Stop child, unless it cannot be kept.
+        The pool only grows, so a child whose `rank_key` is above the
+        pool's beam_size-th smallest cannot be among `candidates`. Its rank
+        value comes from its score, its critique when shaping is on and,
+        at lambda != 0, its reward from the child rows and the Jaccard
+        memo, as `finalize` gives them; its serialization is built only for
+        a value tied with the cut. A serialization names one program, so a later child with
+        the same serialization has the same key and is skipped too."""
+        g = self.stop
+        score = self.child_scores(hyp, g, (0,))[0]
+        if len(self.best_keys) == self.config.beam_size:
+            reward = self.rewards(hyp, g, (0,))[0] if self.config.lambda_weight != 0.0 else 0.0
+            critique = (_critique(hyp.nonkw | g.surf_nonkw[0], _cooccurrence(hyp, g), self.q_mask)
+                        if self.config.shaping_enabled else 0.0)
+            value = self.rank_value(reward, score, critique)
+            cut = self.best_keys[-1]
+            if value > cut[0] or value == cut[0] and self.serialize(hyp, g, 0) > cut[1]:
+                return
+        self.finalize(self.make_child(hyp, g, 0, score))
+
     def finalize(self, hyp: _Hyp):
-        """Add a completed program to the pool. Only a completed program's
-        reward and critique are read, so they are computed here, with the
-        same Jaccard memo and critique formula as the ranking."""
+        """Add a completed program to the pool, and its `rank_key` to the
+        pool's beam_size smallest. Only a completed program's reward and
+        critique are read, so they are computed here, with the same
+        Jaccard memo and critique formula as the ranking."""
         if hyp.ser in self.pool:
             return
         state = hyp.state
         answer = P.answer(self.ctx, state)
-        compatible = exact_match(answer, self.gold)
-        self.pool[hyp.ser] = Candidate(P.ProgramState(hyp.actions, True), hyp.ser, hyp.score,
-                                       self.jaccard(state[2], P.answer_rows(state)),
-                                       _critique(hyp.nonkw, hyp.cooccur, self.q_mask),
-                                       compatible, answer)
+        c = self.pool[hyp.ser] = Candidate(P.ProgramState(hyp.actions, True), hyp.ser,
+                                           hyp.score, self.jaccard(state[2], P.answer_rows(state)),
+                                           _critique(hyp.nonkw, hyp.cooccur, self.q_mask),
+                                           exact_match(answer, self.gold), answer)
+        insort(self.best_keys, (self.rank_value(c.reward, c.score, c.critique), c.serialization))
+        del self.best_keys[self.config.beam_size:]
 
     def candidates(self) -> CandidateSet:
         """One beam's worth of completed programs under the final ranking,

@@ -65,7 +65,13 @@ class EpochStats:
     skipped: int
     zero_updates: int
     wall_time: float
-    ranked_per_search: float = 0.0  # mean CandidateSet.ranked of the SGD pass's searches
+    # means over the SGD pass's searches: CandidateSet.ranked, whether the
+    # candidate set holds a compatible program, its size, and its
+    # compatible candidates
+    ranked_per_search: float = 0.0
+    compatible_rate: float = 0.0
+    candidates_per_search: float = 0.0
+    compatible_per_search: float = 0.0
 
 
 @dataclass
@@ -133,10 +139,10 @@ def _clip(delta: dict, limit: float | None) -> dict:
 
 
 def _sgd_pass(flat, tables, lexicon, config: TrainConfig, theta: ParamVector,
-              rng: random.Random) -> tuple[int, int, float]:
+              rng: random.Random) -> tuple[int, int, dict[str, float]]:
     """One epoch of per-example updates; returns (skipped, zero_updates,
-    the mean number of children its searches ranked)."""
-    skipped = zero = ranked = 0
+    the `EpochStats` means over its searches by field name)."""
+    skipped = zero = ranked = found = candidates = compatible = 0
     order = list(range(len(flat)))
     rng.shuffle(order)
     shaping_eta = config.search.eta if config.search.shaping_enabled else None
@@ -145,7 +151,11 @@ def _sgd_pass(flat, tables, lexicon, config: TrainConfig, theta: ParamVector,
         ex, prev = flat[j]
         table = tables[ex.table_ref]
         K = beam_search(ex, table, theta, lexicon, config.search, prev)
+        n_compatible = len(K.compatible)
         ranked += K.ranked
+        found += n_compatible > 0
+        candidates += len(K)
+        compatible += n_compatible
         if not K:
             skipped += 1
             continue
@@ -159,7 +169,10 @@ def _sgd_pass(flat, tables, lexicon, config: TrainConfig, theta: ParamVector,
                 f"epoch update failed at example {ex.sequence_id}:{ex.position}: {e}")
         skipped += res.skipped
         zero += res.zero
-    return skipped, zero, ranked / len(flat) if flat else 0.0
+    n = len(flat) or 1
+    return skipped, zero, {"ranked_per_search": ranked / n, "compatible_rate": found / n,
+                           "candidates_per_search": candidates / n,
+                           "compatible_per_search": compatible / n}
 
 
 def _initial_theta(config: TrainConfig) -> ParamVector:
@@ -191,7 +204,7 @@ def train(sequences, tables: dict[str, Table], lexicon: Lexicon | None,
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         try:
-            skipped, zero, ranked = _sgd_pass(flat, tables, lexicon, config, theta, rng)
+            skipped, zero, means = _sgd_pass(flat, tables, lexicon, config, theta, rng)
         except TrainingError as e:
             raise TrainingError(f"epoch {epoch}: {e}")
         dev_acc = evaluate(dev_seqs, tables, theta, config.search, lexicon,
@@ -200,7 +213,7 @@ def train(sequences, tables: dict[str, Table], lexicon: Lexicon | None,
                               model_shaping=config.model_shaping)
                      if acc_seqs else None)
         history.epochs.append(EpochStats(dev_acc, train_acc, skipped, zero,
-                                         time.perf_counter() - t0, ranked))
+                                         time.perf_counter() - t0, **means))
         if dev_acc > best_acc:
             best_acc = dev_acc
             best_theta = theta.copy()

@@ -59,11 +59,18 @@ def test_train_writes_checkpoint_and_report(corpus_dir, tmp_path, capsys):
     assert csv_text[0].startswith("epoch,dev_accuracy")
     assert len(csv_text) == 3
     assert csv_text[0] == ("epoch,dev_accuracy,train_accuracy,skipped,zero_updates,wall_time,"
-                           "ranked_per_search")
-    wall_time, ranked = csv_text[1].split(",")[-2:]
-    assert len(wall_time.split(".")[1]) == 3
-    assert float(ranked) > 0
-    assert report["history"]["epochs"][0]["ranked_per_search"] == float(ranked)
+                           "ranked_per_search,compatible_rate,candidates_per_search,"
+                           "compatible_per_search")
+    row = dict(zip(csv_text[0].split(","), csv_text[1].split(",")))
+    assert len(row["wall_time"].split(".")[1]) == 3
+    assert float(row["ranked_per_search"]) > 0
+    assert 0 < float(row["compatible_rate"]) <= 1
+    assert float(row["candidates_per_search"]) >= float(row["compatible_per_search"]) \
+        >= float(row["compatible_rate"])
+    epoch = report["history"]["epochs"][0]
+    for name in ("ranked_per_search", "compatible_rate", "candidates_per_search",
+                 "compatible_per_search"):
+        assert epoch[name] == float(row[name])
 
 
 def test_csv_report_path_is_a_usage_error(corpus_dir, tmp_path, capsys):

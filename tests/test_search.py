@@ -3,6 +3,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from denoparse import programs as P
 from denoparse import search
@@ -292,6 +293,20 @@ def test_bound_scan_matches_eager_reference():
                 table, ex.question_numbers) + (P.Action(P.OR), P.Action(P.STOP)):
             feats.update(action_features(a, ex.question_tokens, table))
     coarse = {f: rng.choice((-0.3, 0.0, 0.1, 0.2, 0.7)) for f in sorted(feats)}
+    # a question that names a cell value but not its column: a head and a
+    # condition on that column share the column's token, which is outside
+    # the question, so a critique bound that counts the condition's tokens
+    # outside the question as all new drops children here
+    shared = generate_corpus(SynthConfig(sequences=2, seed=3, min_rows=2, max_rows=3))
+    ex = shared.sequences[1][0]
+    assert ex.question == "how many saves did sage have?"
+    shared_case = (ex, shared.tables[ex.table_ref], None)
+    shaped = search._Search(*shared_case[:2], ParamVector(), lex,
+                            SearchConfig(shaping_enabled=True, eta=5.0), None)
+    assert max(len(shaped.bounds(g)[0])
+               for groups in shaped.groups_of.values() for g in groups) > 1
+    # the first two cases take turns by beam, which halves the eager searches
+    runs = [(1, cases[1]), (2, cases[0]), (3, cases[1]), (8, cases[0]), (8, shared_case)]
     thetas = []
     for recall in (-1.0, 0.0, 1.0):
         thetas += [ParamVector({**coarse, "recall": recall}),
@@ -300,16 +315,59 @@ def test_bound_scan_matches_eager_reference():
     for theta in thetas:
         for lam in (0.0, 0.5):
             for shaping, eta in ((False, 5.0), (True, 5.0), (True, 0.0), (True, -5.0)):
-                for beam in (1, 2, 3, 8):
+                for beam, (ex, table, prev) in runs:
                     cfg = SearchConfig(beam_size=beam, max_actions=4, max_conditions=2,
                                        lambda_weight=lam, shaping_enabled=shaping, eta=eta)
-                    # the cases take turns, which halves the eager searches
-                    ex, table, prev = cases[beam % 2]
                     got = beam_search(ex, table, theta, lex, cfg, prev)
                     want = reference_beam_search(ex, table, theta, lex, cfg, prev)
                     assert got.entries == want.entries, \
                         (ex.position, theta.get("recall"), lam, shaping, eta, beam)
                     assert got.ranked <= want.ranked
+
+
+@given(st.integers(0, 1 << 12), st.integers(0, 1 << 12), st.integers(0, 1 << 12),
+       st.integers(0, 20))
+def test_fraction_bound_bounds_the_child_critique(parent, action, question, cooccur):
+    # the bound reads only the parent's and the action's token counts, yet
+    # the critique of the child (the union of their masks) never exceeds it
+    bound = search._fraction_bound(parent.bit_count(), (parent & question).bit_count(),
+                                   (action & question).bit_count(),
+                                   (action & ~question).bit_count())
+    assert search._critique(parent | action, cooccur, question) <= bound + cooccur
+
+
+def test_stop_children_that_cannot_be_kept_are_not_built(monkeypatch):
+    # the pool only grows, so a Stop child whose key is above the pool's
+    # beam_size-th smallest is never kept, and is not built; the entries
+    # stay those of the eager search that builds every completed child
+    ex, table, theta, prev = _followup_case()
+    lex = default_lexicon()
+    configs = [SearchConfig(beam_size=4, max_actions=5, lambda_weight=lam,
+                            shaping_enabled=shaping)
+               for lam, shaping in ((0.0, False), (0.0, True), (0.5, True), (math.inf, True))]
+    wants = [reference_beam_search(ex, table, theta, lex, cfg, prev) for cfg in configs]
+    reached, built = [], []
+    legal, candidate = search._Search.legal, search.Candidate
+
+    def counting_legal(self, hyp):
+        groups = legal(self, hyp)
+        reached.extend(g for g in groups if g is self.stop)
+        return groups
+
+    def counting_candidate(*args):
+        built.append(args)
+        return candidate(*args)
+
+    monkeypatch.setattr(search._Search, "legal", counting_legal)
+    monkeypatch.setattr(search, "Candidate", counting_candidate)
+    for cfg, want in zip(configs, wants):
+        reached.clear()
+        built.clear()
+        got = beam_search(ex, table, theta, lex, cfg, prev)
+        assert got.entries == want.entries, cfg
+        assert len(got) <= len(built) <= len(reached), cfg
+        if cfg.lambda_weight == 0.0:
+            assert len(built) < len(reached), cfg
 
 
 def test_candidate_set_featurizer_matches_featurize():

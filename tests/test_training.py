@@ -121,7 +121,8 @@ def test_run_report_summarizes_history():
         "zero_updates_total": 3, "n_weights": 2}
     assert list(report["history"]["epochs"][0]) == [
         "dev_accuracy", "train_accuracy", "skipped", "zero_updates", "wall_time",
-        "ranked_per_search"]
+        "ranked_per_search", "compatible_rate", "candidates_per_search",
+        "compatible_per_search"]
     assert run_report(history_with([0.5]), ParamVector())["stability"] is None
 
 
