@@ -69,6 +69,8 @@ class ActionFeaturizer:
         self.question_tokens = tuple(question_tokens)
         self.table = table
         self._qset = frozenset(self.question_tokens)
+        # question tokens that occur in the table, which recall reads
+        self.e1 = question_table_tokens(self.question_tokens, table)
         # iteration over token sets is sorted so feature insertion order, and
         # with it float summation order, is identical across processes
         self._qsorted = sorted(self._qset)
@@ -154,7 +156,7 @@ class ActionFeaturizer:
         for a in state.actions:
             for fid in self.ids(a):
                 feats[fid] = feats.get(fid, 0.0) + 1.0
-        e1 = question_table_tokens(self.question_tokens, self.table)
+        e1 = self.e1
         if e1:
             e2 = program_surface_tokens(state, self.table)
             uncovered = len(e1 - e2) / len(e1)

@@ -44,8 +44,7 @@ from itertools import chain, repeat
 
 from . import programs as P
 from .critique import EMPTY_LEXICON, Lexicon
-from .scorer import (RECALL_FEATURE, ActionFeaturizer, ParamVector,
-                     question_table_tokens, weight_sum)
+from .scorer import RECALL_FEATURE, ActionFeaturizer, ParamVector, weight_sum
 # unused here; bench/tracing.py patches search.action_features, so the name stays
 from .scorer import action_features  # noqa: F401
 from .tables import AnswerSet, Example, Table, exact_match
@@ -198,7 +197,8 @@ class _Search:
         self.ctx = P.ExecContext(table, prev_answer)
         qtokens = example.question_tokens
         qset = frozenset(qtokens)
-        self.e1 = question_table_tokens(qtokens, table)
+        self.featurizer = ActionFeaturizer(qtokens, table)
+        self.e1 = self.featurizer.e1
         self.w_recall = theta.get(RECALL_FEATURE)
         self.rank_value = rank_value(config)
         # lexicon pairs whose question side fires, bucketed by keyword
@@ -208,7 +208,6 @@ class _Search:
                 self.kw_weight[kw] = self.kw_weight.get(kw, 0) + 1
         self.token_bit: dict[str, int] = {}
         self.q_mask = self.mask(qset)
-        self.featurizer = ActionFeaturizer(qtokens, table)
         self.weights, self.kind_sums = theta.weights, {}
         # surface masks (non-keyword, in e1) are shared per (column, value)
         self.surface_masks: dict[tuple, tuple[int, int]] = {}

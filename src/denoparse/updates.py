@@ -5,8 +5,8 @@ Every supported learning rule has the form
     delta(K) = sum_y w(y) * (grad score(y) - sum_y' q(y') * grad score(y'))
 
 over the candidate set K, where w is a non-negative per-program intensity
-and q is a competing distribution. The canonical algorithms are fixed
-(w, q) pairs; mixes pair any intensity with any competing side:
+and q is a competing distribution. Each algorithm is one (w, q) pair in
+`_ALGORITHMS`; `mix:<a>,<b>` pairs a's intensity with b's competing side:
 
     mml         marginal-likelihood weights over compatible programs, q = model
     merit:<b>   mml intensity with probabilities raised to b (inf = argmax)
@@ -24,15 +24,18 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .scorer import FeatureVector, left_sum, softmax
 # unused here; bench/tracing.py patches updates.featurize, so the name stays
 from .scorer import featurize  # noqa: F401
 from .search import CandidateSet
 
-# algorithm name -> (intensity side, competing side)
+# algorithm name -> (intensity side, competing side); merit, and only merit,
+# is written with its beta, merit:<beta>
 _ALGORITHMS = {
     "mml": ("mml", "model"),
+    "merit": ("merit", "model"),
     "reinforce": ("reinforce", "model"),
     "offpg": ("offpg", "model"),
     "mmr": ("reference", "most_violating"),
@@ -56,50 +59,35 @@ class UpdateSpec:
     beta: float | None = None
 
 
-def _intensity_of(token: str) -> tuple[str, float | None]:
-    if token in _ALGORITHMS:
-        return _ALGORITHMS[token][0], None
-    if token.startswith("merit:"):
-        raw = token.split(":", 1)[1]
-        beta = math.inf if raw == "inf" else float(raw)
-        if beta < 0:
-            raise UpdateSpecError(f"beta must be >= 0, got {raw}")
-        return "merit", beta
-    raise UpdateSpecError(f"unknown intensity {token!r}")
+def _algorithm(token: str) -> tuple[str, str, float | None]:
+    """(intensity side, competing side, beta) of one algorithm name."""
+    name, colon, raw = token.partition(":")
+    if name not in _ALGORITHMS or (name == "merit") != bool(colon):
+        raise UpdateSpecError(f"unknown algorithm {token!r}, expected one of " + ", ".join(
+            n + ":<beta>" * (n == "merit") for n in _ALGORITHMS))
+    beta = None
+    if colon:
+        try:
+            beta = float(raw)
+        except ValueError:
+            beta = math.nan  # refused below, with the token named
+        if not beta >= 0:
+            raise UpdateSpecError(f"beta in {token!r} must be a number >= 0 or inf")
+    return (*_ALGORITHMS[name], beta)
 
 
 def parse_update_spec(spec: str) -> UpdateSpec:
-    """Parse `mml`, `merit:<beta|inf>`, `reinforce`, `offpg`, `mmr`, `maver`,
-    or `mix:<intensity>,<competing>` with both sides named by algorithm."""
+    """Parse one algorithm name (`mml`, `merit:<beta|inf>`, `reinforce`,
+    `offpg`, `mmr`, `maver`) or `mix:<a>,<b>`, which takes its intensity
+    side and beta from a and its competing side from b."""
     s = spec.strip().lower()
-    try:
-        if s in _ALGORITHMS:
-            i, c = _ALGORITHMS[s]
-            return UpdateSpec(s, i, c)
-        if s.startswith("merit:"):
-            kind, beta = _intensity_of(s)
-            return UpdateSpec(s, kind, "model", beta)
-        if s.startswith("mix:"):
-            body = s[4:]
-            parts = body.rsplit(",", 1)
-            if len(parts) != 2:
-                raise UpdateSpecError(f"mix needs two components: {spec!r}")
-            ikind, beta = _intensity_of(parts[0])
-            comp = parts[1]
-            if comp.startswith("merit:"):
-                comp = "merit"
-            if comp in _ALGORITHMS:
-                ckind = _ALGORITHMS[comp][1]
-            elif comp == "merit":
-                ckind = "model"
-            else:
-                raise UpdateSpecError(f"unknown competing side {parts[1]!r}")
-            return UpdateSpec(s, ikind, ckind, beta)
-    except ValueError as e:
-        if isinstance(e, UpdateSpecError):
-            raise
-        raise UpdateSpecError(f"bad update spec {spec!r}: {e}")
-    raise UpdateSpecError(f"unknown update spec {spec!r}")
+    if not s.startswith("mix:"):
+        return UpdateSpec(s, *_algorithm(s))
+    a, comma, b = s[4:].rpartition(",")
+    if not comma:
+        raise UpdateSpecError(f"mix needs two algorithms, mix:<a>,<b>: {spec!r}")
+    intensity_kind, _, beta = _algorithm(a)
+    return UpdateSpec(s, intensity_kind, _algorithm(b)[1], beta)
 
 
 CANONICAL_SPECS = ("mml", "merit:0.5", "reinforce", "offpg", "mmr", "maver")
@@ -127,11 +115,11 @@ class UpdateContext:
             self._features[i] = self.K.featurizer.featurize(self.K.entries[i].program)
         return self._features[i]
 
-    @property
+    @cached_property
     def model_distribution(self) -> list[float]:
         return softmax(self.scores)
 
-    @property
+    @cached_property
     def compatible_indices(self) -> list[int]:
         return [i for i, c in enumerate(self.K.entries) if c.compatible]
 
@@ -164,13 +152,8 @@ def exploration_distribution(K: CandidateSet,
 
 def reference_index(ctx: UpdateContext) -> int | None:
     """Highest-scoring compatible candidate; serialization breaks ties."""
-    best = None
-    for i in ctx.compatible_indices:
-        if best is None or ctx.scores[i] > ctx.scores[best] or (
-                ctx.scores[i] == ctx.scores[best]
-                and ctx.K.entries[i].serialization < ctx.K.entries[best].serialization):
-            best = i
-    return best
+    return min(ctx.compatible_indices, default=None,
+               key=lambda i: (-ctx.scores[i], ctx.K.entries[i].serialization))
 
 
 def violation_indices(ctx: UpdateContext, ref: int) -> list[int]:
@@ -182,10 +165,7 @@ def violation_indices(ctx: UpdateContext, ref: int) -> list[int]:
 
 def most_violating_index(ctx: UpdateContext, ref: int) -> int | None:
     """Argmax of score - reward among the violations, serialization ties."""
-    violations = set(violation_indices(ctx, ref))
-    if not violations:
-        return None
-    return min(violations,
+    return min(violation_indices(ctx, ref), default=None,
                key=lambda i: (-(ctx.scores[i] - ctx.rewards[i]),
                               ctx.K.entries[i].serialization))
 
@@ -222,59 +202,48 @@ class UpdateResult:
 
 def intensity(spec: UpdateSpec, ctx: UpdateContext) -> tuple[list[float] | None, UpdateResult]:
     """Per-program intensity weights, or None with a skip marker."""
-    n = len(ctx.K)
     res = UpdateResult(delta={})
     kind = spec.intensity_kind
-    if kind in ("mml", "merit", "reference"):
-        comp = ctx.compatible_indices
-        if not comp:
-            res.skipped = True
-            return None, res
-    if kind == "mml" or kind == "merit":
-        p = ctx.model_distribution
-        beta = 1.0 if kind == "mml" else spec.beta
-        sub = [p[i] for i in comp]
-        if beta == math.inf:
-            m = max(sub)
-            chosen = [i for i, v in zip(comp, sub) if v == m]
-            w = [0.0] * n
-            for i in chosen:
-                w[i] = 1.0 / len(chosen)
-            return w, res
-        powered = [v ** beta for v in sub]
-        z = left_sum(powered)
-        if z == 0.0:
-            raise NonFiniteUpdateError(
-                f"{spec.name} weights are undefined: the model probability of "
-                "every compatible program underflows to 0")
-        w = [0.0] * n
-        for i, v in zip(comp, powered):
-            w[i] = v / z
-        return w, res
-    if kind == "reference":
-        ref = reference_index(ctx)
-        res.reference = ref
-        w = [0.0] * n
-        w[ref] = 1.0
-        return w, res
-    sers = [c.serialization for c in ctx.K.entries]
-    if kind == "reinforce":
-        p = ctx.model_distribution
-        i = sample_from(p, sers, ctx.rng)
-        res.sampled_index = i
-        w = [0.0] * n
-        w[i] = ctx.rewards[i]
-        return w, res
-    if kind == "offpg":
-        if ctx.u is None:
+    w = [0.0] * len(ctx.K)
+    if kind == "reinforce" or kind == "offpg":
+        # r_i * p_i / u_i is not always r_i in floats when u = p, so each
+        # keeps its own weight
+        u = ctx.model_distribution if kind == "reinforce" else ctx.u
+        if u is None:
             raise ValueError("off-policy update needs the exploration distribution u")
-        p = ctx.model_distribution
-        i = sample_from(ctx.u, sers, ctx.rng)
-        res.sampled_index = i
-        w = [0.0] * n
-        w[i] = ctx.rewards[i] * p[i] / ctx.u[i]
+        i = res.sampled_index = sample_from(u, [c.serialization for c in ctx.K.entries],
+                                            ctx.rng)
+        w[i] = (ctx.rewards[i] if kind == "reinforce"
+                else ctx.rewards[i] * ctx.model_distribution[i] / u[i])
         return w, res
-    raise UpdateSpecError(f"unknown intensity kind {kind!r}")
+    comp = ctx.compatible_indices
+    if not comp:
+        res.skipped = True
+        return None, res
+    if kind == "reference":
+        res.reference = reference_index(ctx)
+        w[res.reference] = 1.0
+        return w, res
+    if kind != "mml" and kind != "merit":
+        raise UpdateSpecError(f"unknown intensity kind {kind!r}")
+    beta = 1.0 if kind == "mml" else spec.beta
+    p = ctx.model_distribution
+    sub = [p[i] for i in comp]
+    if beta == math.inf:
+        m = max(sub)
+        chosen = [i for i, v in zip(comp, sub) if v == m]
+        for i in chosen:
+            w[i] = 1.0 / len(chosen)
+        return w, res
+    powered = [v ** beta for v in sub]
+    z = left_sum(powered)
+    if z == 0.0:
+        raise NonFiniteUpdateError(
+            f"{spec.name} weights are undefined: the model probability of "
+            "every compatible program underflows to 0")
+    for i, v in zip(comp, powered):
+        w[i] = v / z
+    return w, res
 
 
 def competing(spec: UpdateSpec, ctx: UpdateContext,
@@ -284,18 +253,17 @@ def competing(spec: UpdateSpec, ctx: UpdateContext,
     kind = spec.competing_kind
     if kind == "model":
         return ctx.model_distribution
-    ref = res.reference if res.reference is not None else reference_index(ctx)
+    if res.reference is None:
+        res.reference = reference_index(ctx)
+    ref = res.reference
     if ref is None:
         res.skipped = True
         return None
-    res.reference = ref
-    violations = violation_indices(ctx, ref)
-    res.violations = violations
+    violations = res.violations = violation_indices(ctx, ref)
     if not violations:
         res.zero = True
         return None
-    n = len(ctx.K)
-    q = [0.0] * n
+    q = [0.0] * len(ctx.K)
     if kind == "most_violating":
         q[most_violating_index(ctx, ref)] = 1.0
     elif kind == "violation_uniform":

@@ -1,9 +1,10 @@
+import functools
 import math
 import random
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from denoparse import programs as P
 from denoparse import search
@@ -323,6 +324,65 @@ def test_bound_scan_matches_eager_reference():
                     assert got.entries == want.entries, \
                         (ex.position, theta.get("recall"), lam, shaping, eta, beam)
                     assert got.ranked <= want.ranked
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_cases(corpus_seed):
+    """Each example of a small synth corpus with its table, previous
+    answer and the sorted ids of every feature its actions can have."""
+    corpus = generate_corpus(SynthConfig(sequences=2, seed=corpus_seed, min_rows=2,
+                                         max_rows=3))
+    cases = []
+    for seq in corpus.sequences:
+        for ex in seq:
+            table = corpus.tables[ex.table_ref]
+            feats = set()
+            for a in P.head_actions(table, 1) + P.condition_actions(
+                    table, ex.question_numbers) + (P.Action(P.OR), P.Action(P.STOP)):
+                feats.update(action_features(a, ex.question_tokens, table))
+            cases.append((ex, table, seq[ex.position - 1].gold_answer if ex.position else None,
+                          sorted(feats)))
+    return cases
+
+
+_WEIGHT_GRID = (0.0, -1.0, 0.3, 0.5, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus_seed=st.integers(0, 49), index=st.integers(0, 15),
+       weight_seed=st.integers(0, 1 << 32),
+       grid=st.lists(st.sampled_from(_WEIGHT_GRID), min_size=1, unique=True),
+       k=st.integers(-300, 300), recall_sign=st.sampled_from((0.0, -1.0, 1.0)),
+       lam=st.sampled_from((0.0, 1e-300, 0.5, 1e12, 1e300, math.inf)),
+       eta=st.sampled_from((-1e300, -5.0, 0.0, 5.0, 1e12, 1e300)), shaping=st.booleans(),
+       beam=st.integers(1, 8))
+# every score tied at 0, so the children whose bound ties the cut decide
+# the survivors by serialization
+@example(corpus_seed=0, index=0, weight_seed=0, grid=[0.0], k=0, recall_sign=0.0,
+         lam=0.0, eta=0.0, shaping=False, beam=2)
+# keys from the critique alone, where a condition repeats a column the head
+# already names outside the question
+@example(corpus_seed=3, index=3, weight_seed=0, grid=[0.0], k=0, recall_sign=0.0,
+         lam=0.0, eta=5.0, shaping=True, beam=8)
+def test_beam_search_matches_eager_reference_on_random_settings(
+        corpus_seed, index, weight_seed, grid, k, recall_sign, lam, eta, shaping, beam):
+    # which children survive rests on the reward floor at lambda = inf, the
+    # bound scan and its float margin, the critique bound and the skip of
+    # Stop children that cannot be kept. Each weight is drawn from a sub-grid
+    # of tied values times 10^k; at either recall sign and any lambda, eta,
+    # shaping and beam, the entries must be the eager search's
+    cases = _fuzz_cases(corpus_seed)
+    ex, table, prev, feats = cases[index % len(cases)]
+    rng = random.Random(weight_seed)
+    scale = 10.0 ** k
+    theta = ParamVector({f: rng.choice(grid) * scale for f in feats})
+    theta.weights["recall"] = recall_sign * scale
+    cfg = SearchConfig(beam_size=beam, max_actions=4, max_conditions=2,
+                       lambda_weight=lam, shaping_enabled=shaping, eta=eta)
+    lex = default_lexicon()
+    got = beam_search(ex, table, theta, lex, cfg, prev)
+    want = reference_beam_search(ex, table, theta, lex, cfg, prev)
+    assert got.entries == want.entries
 
 
 @given(st.integers(0, 1 << 12), st.integers(0, 1 << 12), st.integers(0, 1 << 12),

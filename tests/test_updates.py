@@ -55,9 +55,18 @@ def test_parse_update_spec_canonical_pairs():
 
 def test_parse_update_spec_rejects_junk():
     for bad in ("bogus", "merit:", "merit:-1", "mix:mmr", "mix:bogus,mml",
-                "mix:mml,bogus"):
+                "mix:mml,bogus", "merit:nan", "mix:mml,merit:banana", "mix:mml,merit"):
         with pytest.raises(UpdateSpecError):
             parse_update_spec(bad)
+
+
+def test_mix_takes_intensity_and_beta_from_its_first_name_and_competing_from_its_second():
+    names = ("mml", "merit:2", "reinforce", "offpg", "mmr", "maver")
+    for a in names:
+        for b in names:
+            mix, first, second = (parse_update_spec(s) for s in (f"mix:{a},{b}", a, b))
+            assert (mix.intensity_kind, mix.beta, mix.competing_kind) == \
+                (first.intensity_kind, first.beta, second.competing_kind), (a, b)
 
 
 def test_reference_prefers_score_then_serialization():
