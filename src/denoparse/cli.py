@@ -131,8 +131,10 @@ def _read_config_file(path: str, options: dict) -> dict:
             key, raw = key.strip(), raw.strip()
             if key not in options or key in ("config", "print-config"):
                 raise ValueError(f"{path}: line {i + 1}: unknown key {key!r}")
-            typ = options[key][0]
-            values[key.replace("-", "_")] = typ(raw)
+            try:
+                values[key.replace("-", "_")] = options[key][0](raw)
+            except (ValueError, argparse.ArgumentTypeError) as e:
+                raise ValueError(f"{path}: line {i + 1}: {key}: {e}") from None
     return values
 
 

@@ -9,8 +9,8 @@ score component becomes score + eta * critique, the log-space equivalent
 of multiplying the behavior policy by the critique policy over the beam
 pool; stored scores and rewards are never shaped.
 
-Completed programs leave the beam and accumulate into the candidate set,
-so a beam at least as wide as the program space collects the whole space.
+Completed programs leave the beam for a pool of the beam_size best so
+far, the final beam; a beam as wide as the program space collects it all.
 Scores and critique values are maintained incrementally per child; tests
 cross-check them against the direct featurize/critique path. Legality and
 execution are not copied here: a state's legal kinds come from
@@ -32,7 +32,8 @@ lambda * the pair's best reward + the critique bound) reaches the
 beam_size-th best key so far. The bound and the score add in different
 orders, so the prefix widens by a relative float margin, and a child
 whose bound ties the cut is scored. Likewise a completed child whose key
-is above the pool's beam_size-th best is never built.
+is above the pool's worst is never built, and one that enters a full pool
+pushes the worst out.
 """
 from __future__ import annotations
 
@@ -179,8 +180,8 @@ def _cooccurrence(hyp: _Hyp, g: _Group) -> int:
 class _Search:
     """The state of one beam search, built by candidate preparation, and
     its phases: `expand`, `rank` and `select` make one beam step,
-    `complete` and `finalize` pool each completed program that can be
-    kept, and `candidates` gives the result. A parent's children are
+    `complete` pools each completed program that can be kept, and
+    `candidates` gives the result. A parent's children are
     handled one group at a time."""
 
     def __init__(self, example: Example, table: Table, theta: ParamVector,
@@ -232,8 +233,8 @@ class _Search:
         # (phase, base, rows) of a parent and a group -> the answer rows of
         # the parent's child by each action of the group
         self.child_rows: dict[tuple, list[int]] = {}
-        self.pool: dict[str, Candidate] = {}
-        self.best_keys: list = []  # the pool's beam_size smallest rank_keys, ascending
+        self.pool: dict[str, Candidate] = {}  # the beam_size best completed programs so far
+        self.best_keys: list = []  # their rank_keys, ascending
         self.ranked = 0
         self.root = _Hyp((), "", self.ctx.start, 0, self.w_recall if self.e1 else 0.0,
                          0, 0, 0)
@@ -487,18 +488,17 @@ class _Search:
         """The next beam. `heapq.nsmallest` finds the beam_size-th smallest
         value; every child at or below it stays in the running, so children
         tied at the cut are then told apart by serialization, which is
-        built only for them. Sorting those on (value, serialization) and
-        keeping beam_size of them gives the same survivors in the same
+        built only for them. Sorting those on (value, serialization, index)
+        and keeping beam_size of them gives the same survivors in the same
         order as sorting every child on `rank_key`. Only the survivors
-        become full states."""
+        become full states, each from the serialization its key holds."""
         n = self.config.beam_size
         kept = range(len(values))
         if len(values) > n:
             cut = heapq.nsmallest(n, values)[-1]
             kept = [i for i, v in enumerate(values) if v <= cut]
-        # the stable sort on (value, serialization) is the rank_key order
-        kept = sorted(kept, key=lambda i: (values[i], self.serialize(*pending[i][:3])))
-        return [self.make_child(*pending[i]) for i in kept[:n]]
+        keys = sorted((values[i], self.serialize(*pending[i][:3]), i) for i in kept)
+        return [self.make_child(*pending[i], ser) for _, ser, i in keys[:n]]
 
     def serialize(self, hyp: _Hyp, g: _Group, i: int) -> str:
         """The serialization of hyp's child by g.actions[i]."""
@@ -511,60 +511,49 @@ class _Search:
         h_ser = hyp.ser
         return h_ser + " " + tok if h_ser and tok else (h_ser or tok)
 
-    def make_child(self, hyp: _Hyp, g: _Group, i: int, score: float) -> _Hyp:
-        """hyp's child by g.actions[i]: its serialization, token masks and
-        execution state, derived from the parent and the action."""
+    def make_child(self, hyp: _Hyp, g: _Group, i: int, score: float, ser: str) -> _Hyp:
+        """hyp's child by g.actions[i], with serialization ser: its token
+        masks and execution state, derived from the parent and the action."""
         action = g.actions[i]
-        return _Hyp(hyp.actions + (action,), self.serialize(hyp, g, i),
+        return _Hyp(hyp.actions + (action,), ser,
                     P.step(self.ctx, hyp.state, action), hyp.used | g.bits[i], score,
                     hyp.nonkw | g.surf_nonkw[i], hyp.keywords | g.keywords,
                     _cooccurrence(hyp, g))
 
     def complete(self, hyp: _Hyp):
-        """Build and finalize hyp's Stop child, unless it cannot be kept.
-        The pool only grows, so a child whose `rank_key` is above the
-        pool's beam_size-th smallest cannot be among `candidates`. Its rank
-        value comes from its score, its critique when shaping is on and,
-        at lambda != 0, its reward from the child rows and the Jaccard
-        memo, as `finalize` gives them; its serialization is built only for
-        a value tied with the cut. A serialization names one program, so a later child with
-        the same serialization has the same key and is skipped too."""
-        g = self.stop
+        """Pool hyp's Stop child, unless it cannot be kept. The child's
+        score, critique and reward are computed once, for its key and its
+        `Candidate`. The key reads the reward only at lambda != 0, where it
+        comes from the child rows and the Jaccard memo as in ranking; at
+        lambda = 0 only a kept child's is computed, from its state. The
+        serialization is built only for a value at or below the worst key.
+        A serialization names one program, so a child whose serialization
+        was pooled before has that key, and is skipped."""
+        g, keys, n = self.stop, self.best_keys, self.config.beam_size
         score = self.child_scores(hyp, g, (0,))[0]
-        if len(self.best_keys) == self.config.beam_size:
-            reward = self.rewards(hyp, g, (0,))[0] if self.config.lambda_weight != 0.0 else 0.0
-            critique = (_critique(hyp.nonkw | g.surf_nonkw[0], _cooccurrence(hyp, g), self.q_mask)
-                        if self.config.shaping_enabled else 0.0)
-            value = self.rank_value(reward, score, critique)
-            cut = self.best_keys[-1]
-            if value > cut[0] or value == cut[0] and self.serialize(hyp, g, 0) > cut[1]:
-                return
-        self.finalize(self.make_child(hyp, g, 0, score))
-
-    def finalize(self, hyp: _Hyp):
-        """Add a completed program to the pool, and its `rank_key` to the
-        pool's beam_size smallest. Only a completed program's reward and
-        critique are read, so they are computed here, with the same
-        Jaccard memo and critique formula as the ranking."""
-        if hyp.ser in self.pool:
+        reward = self.rewards(hyp, g, (0,))[0] if self.config.lambda_weight != 0.0 else None
+        critique = _critique(hyp.nonkw | g.surf_nonkw[0], _cooccurrence(hyp, g), self.q_mask)
+        value = self.rank_value(reward or 0.0, score, critique)
+        if len(keys) == n and value > keys[-1][0]:
             return
-        state = hyp.state
-        answer = P.answer(self.ctx, state)
-        c = self.pool[hyp.ser] = Candidate(P.ProgramState(hyp.actions, True), hyp.ser,
-                                           hyp.score, self.jaccard(state[2], P.answer_rows(state)),
-                                           _critique(hyp.nonkw, hyp.cooccur, self.q_mask),
-                                           exact_match(answer, self.gold), answer)
-        insort(self.best_keys, (self.rank_value(c.reward, c.score, c.critique), c.serialization))
-        del self.best_keys[self.config.beam_size:]
+        ser = self.serialize(hyp, g, 0)
+        if ser in self.pool or len(keys) == n and (value, ser) > keys[-1]:
+            return
+        child = self.make_child(hyp, g, 0, score, ser)
+        if reward is None:
+            reward = self.jaccard(child.state[2], P.answer_rows(child.state))
+        answer = P.answer(self.ctx, child.state)
+        self.pool[ser] = Candidate(P.ProgramState(child.actions, True), ser, score, reward,
+                                   critique, exact_match(answer, self.gold), answer)
+        insort(keys, (value, ser))
+        if len(keys) > n:
+            del self.pool[keys.pop()[1]]
 
     def candidates(self) -> CandidateSet:
         """One beam's worth of completed programs under the final ranking,
         so shaping governs retention, not just order."""
-        config = self.config
-        entries = sorted(self.pool.values(),
-                         key=lambda c: rank_key(c.serialization, c.reward, c.score,
-                                                c.critique, config))[:config.beam_size]
-        return CandidateSet(entries, self.featurizer, self.ranked)
+        return CandidateSet([self.pool[s] for _, s in self.best_keys], self.featurizer,
+                            self.ranked)
 
 
 def beam_search(example: Example, table: Table, theta: ParamVector,

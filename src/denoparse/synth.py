@@ -34,6 +34,16 @@ class SynthConfig:
     followup_prob: float = 0.75
     third_question_prob: float = 0.4
 
+    def validate(self):
+        # a question compares against a value other than the column's
+        # largest, and each numeric column draws distinct values from 1..24
+        if self.min_rows < 2:
+            raise ValueError("min_rows must be >= 2")
+        if self.min_rows > self.max_rows:
+            raise ValueError("min_rows must be <= max_rows")
+        if self.max_rows > 24:
+            raise ValueError("max_rows must be <= 24")
+
 
 @dataclass
 class SynthCorpus:
@@ -207,6 +217,7 @@ def _acceptable(program: P.Program, answer: AnswerSet, table: Table,
 
 
 def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
+    cfg.validate()
     rng = random.Random(cfg.seed)
     corpus = SynthCorpus()
     for s in range(cfg.sequences):

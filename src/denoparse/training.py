@@ -55,6 +55,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not (0.0 < self.dev_fraction < 1.0):
             raise ValueError("dev_fraction must be in (0, 1)")
+        if self.grad_clip is not None and not (0 < self.grad_clip < math.inf):
+            raise ValueError("grad_clip must be None or a finite number > 0")
+        if self.train_accuracy_sample < 0:
+            raise ValueError("train_accuracy_sample must be >= 0")
         self.search.validate()
 
 

@@ -211,3 +211,41 @@ def test_negative_condition_budget_is_a_usage_error(corpus_dir, tmp_path, capsys
     assert rc == 1
     assert "max_conditions must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "model.tsv").exists()
+
+
+def _one_error_line(err: str) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+    return lines[0]
+
+
+@pytest.mark.parametrize("line, key", [("beam=abc", "beam"), ("shaping=maybe", "shaping")])
+def test_config_file_bad_value_names_file_line_and_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# search settings\n{line}\n")
+    rc = run(["dump-beams", "--config", cfg, "--out", tmp_path / "b.jsonl"])
+    assert rc == 1
+    assert f"{cfg}: line 2: {key}: " in _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("grad-clip", "-1e9", "grad_clip"), ("grad-clip", "0", "grad_clip"),
+    ("grad-clip", "nan", "grad_clip"), ("train-acc-sample", "-1", "train_accuracy_sample")])
+def test_bad_train_value_names_the_field(corpus_dir, tmp_path, capsys, flag, value, field):
+    # the = form, since argparse reads a bare -1e9 as an option
+    rc = run(train_args(corpus_dir, tmp_path) + [f"--{flag}={value}"])
+    assert rc == 1
+    assert field in _one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "model.tsv").exists()
+
+
+@pytest.mark.parametrize("min_rows, max_rows, message", [
+    (1, 1, "min_rows must be >= 2"), (6, 4, "min_rows must be <= max_rows"),
+    (25, 25, "max_rows must be <= 24")])
+def test_bad_synth_row_counts_name_the_field(tmp_path, capsys, min_rows, max_rows, message):
+    rc = run(["synth", "--out", tmp_path / "c", "--min-rows", min_rows,
+              "--max-rows", max_rows])
+    assert rc == 1
+    assert message in _one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "c").exists()

@@ -406,8 +406,9 @@ def test_stop_children_that_cannot_be_kept_are_not_built(monkeypatch):
                             shaping_enabled=shaping)
                for lam, shaping in ((0.0, False), (0.0, True), (0.5, True), (math.inf, True))]
     wants = [reference_beam_search(ex, table, theta, lex, cfg, prev) for cfg in configs]
-    reached, built = [], []
+    reached, built, pooled = [], [], []
     legal, candidate = search._Search.legal, search.Candidate
+    candidates = search._Search.candidates
 
     def counting_legal(self, hyp):
         groups = legal(self, hyp)
@@ -418,8 +419,15 @@ def test_stop_children_that_cannot_be_kept_are_not_built(monkeypatch):
         built.append(args)
         return candidate(*args)
 
+    # the pool never shrinks between calls, so its size at the end is the
+    # most it held
+    def counting_candidates(self):
+        pooled.append((len(self.pool), self.config.beam_size))
+        return candidates(self)
+
     monkeypatch.setattr(search._Search, "legal", counting_legal)
     monkeypatch.setattr(search, "Candidate", counting_candidate)
+    monkeypatch.setattr(search._Search, "candidates", counting_candidates)
     for cfg, want in zip(configs, wants):
         reached.clear()
         built.clear()
@@ -428,6 +436,7 @@ def test_stop_children_that_cannot_be_kept_are_not_built(monkeypatch):
         assert len(got) <= len(built) <= len(reached), cfg
         if cfg.lambda_weight == 0.0:
             assert len(built) < len(reached), cfg
+    assert pooled and all(size <= n for size, n in pooled)
 
 
 def test_candidate_set_featurizer_matches_featurize():

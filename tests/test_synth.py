@@ -74,3 +74,11 @@ def test_tables_carry_a_positional_row_column():
     corpus = generate_corpus(SynthConfig(sequences=5, seed=3))
     for table in corpus.tables.values():
         assert P._positional_columns(table) == [(0, 1)]
+
+
+def test_row_count_bounds_are_accepted():
+    # the smallest and largest tables SynthConfig.validate lets through
+    for rows in (2, 24):
+        corpus = generate_corpus(SynthConfig(sequences=20, seed=rows, min_rows=rows,
+                                             max_rows=rows))
+        assert {len(t.cells) for t in corpus.tables.values()} == {rows}
