@@ -138,7 +138,27 @@ def _read_config_file(path: str, options: dict) -> dict:
     return values
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each separate value that starts with "-" and parses as a
+    float joined to the flag before it ("--grad-clip", "-1e9" becomes
+    "--grad-clip=-1e9"). Argparse takes only -N and -N.N for negative
+    numbers, and would read -1e9 as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def _resolve_args(argv) -> argparse.Namespace | int:
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     explicit = vars(_build_parser().parse_args(argv))
     command = explicit.pop("command")
     options = _OPTIONS[command]

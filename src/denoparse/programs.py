@@ -96,14 +96,14 @@ class EnumerationCapError(Exception):
         self.count = count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     kind: str
     column: int | None = None
     value: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProgramState:
     actions: tuple[Action, ...] = ()
     complete: bool = False
@@ -187,18 +187,23 @@ def condition_actions(table: Table, question_numbers: tuple[str, ...] = ()) -> t
         values = table.distinct_values(col)
         out.extend(Action(EQ, col, v) for v in values)
         out.extend(Action(NEQ, col, v) for v in values)
-        numeric = table.distinct_numeric_values(col)
-        if numeric:
-            nums = {raw: parse_number(raw) for raw in numeric}
-            for q in question_numbers:
-                if q not in nums:
-                    nums[q] = parse_number(q)
-            ordered = sorted(nums, key=lambda r: (nums[r], r))
+        if table.distinct_numeric_values(col):
+            ordered = comparison_values(table, col, question_numbers)
             out.extend(Action(GT, col, v) for v in ordered)
             out.extend(Action(LT, col, v) for v in ordered)
             out.append(Action(MAX, col))
             out.append(Action(MIN, col))
     return tuple(out)
+
+
+def comparison_values(table: Table, col: int, question_numbers: tuple[str, ...] = ()) -> list[str]:
+    """The values GT and LT compare column col with: its numeric cells and
+    the question's numbers, by number and then string."""
+    nums = {raw: parse_number(raw) for raw in table.distinct_numeric_values(col)}
+    for q in question_numbers:
+        if q not in nums:
+            nums[q] = parse_number(q)
+    return sorted(nums, key=lambda r: (nums[r], r))
 
 
 def head_actions(table: Table, position: int) -> tuple[Action, ...]:

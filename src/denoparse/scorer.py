@@ -146,6 +146,20 @@ class ActionFeaturizer:
         kind = action.kind
         return [kind + s for s in suffixes]
 
+    def column_ids(self, action) -> list[str]:
+        """The entity ids that `action` shares with every action of its kind
+        and column whose value, if it has one, has no token in the
+        question: the column's flags, then, for an action without a value,
+        the kind x nearby-token conjunctions of the column's positions. For
+        such an action they are all of `entity_ids`."""
+        if action.column is None:
+            return []
+        suffixes, positions = self._column(action.column)
+        if action.value is None and positions:
+            suffixes = suffixes + self._near_suffixes(positions)
+        kind = action.kind
+        return [kind + s for s in suffixes]
+
     def ids(self, action) -> list[str]:
         """Every feature id of the action, each once, in insertion order."""
         return self.kind_ids(action.kind) + self.entity_ids(action)

@@ -19,6 +19,18 @@ that cannot reach Stop within the action and condition budgets, and its
 rows come from `programs.step` over one `programs.ExecContext` per search.
 One `_Search` holds a search's state; `beam_search` drives its phases.
 
+Candidate preparation keeps what depends on neither theta nor the question
+in `_prepared`, an LRU of 128 (table, question numbers, follow-ups allowed)
+keys whose groups are shared per table where question numbers cannot
+change them: each kind's actions, condition bits and token masks over the
+table's vocabulary. An action's features are its kind's, then its
+column's, then its value's and those near its anchor, and a value with no
+token in the question adds none, so each search sums theta over one
+(kind, column) part per kind and column and gives an action its own sum
+only when its value shares a token with the question. `weight_sum` adds
+left to right, so both are the action's dot product bit for bit. Only the
+final beam's programs become `Candidate`s.
+
 Only children that can reach the beam get a rank value. At lambda =
 infinity a child below the beam_size-th best reward cannot. At finite
 lambda each action has a bound that does not depend on the parent: its
@@ -39,9 +51,11 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import lru_cache
+from itertools import chain, compress, repeat
 
 from . import programs as P
 from .critique import EMPTY_LEXICON, Lexicon
@@ -49,6 +63,7 @@ from .scorer import RECALL_FEATURE, ActionFeaturizer, ParamVector, weight_sum
 # unused here; bench/tracing.py patches search.action_features, so the name stays
 from .scorer import action_features  # noqa: F401
 from .tables import AnswerSet, Example, Table, exact_match
+from .text import tokenize
 
 
 @dataclass
@@ -137,9 +152,174 @@ class _Group:
     feature dot products, surface masks (non-keyword, and in the question's
     table tokens), and condition bits, with the kind's keyword mask and
     co-occurrence weights once. `tokens` holds each action's serialization
-    tokens [not after OR, after OR], joined the first time one is needed."""
+    tokens [not after OR, after OR], joined the first time one is needed.
+    The actions, bits, non-keyword masks and keyword mask are a `_Prep`'s,
+    shared by the searches on the table."""
     __slots__ = ("actions", "dots", "surf_nonkw", "surf_e1", "bits", "all_bits",
                  "keywords", "kw_weights", "tokens", "bound_order")
+
+
+class _Prep:
+    """What a group's preparation takes from the table alone, as tuples:
+    the actions of one kind in preparation order, their condition bits and
+    non-keyword surface masks over the table's token vocabulary, the
+    masks of their values' tokens (None for a kind without a value), and
+    the kind's keyword mask. The actions of one column are adjacent;
+    `runs` holds (first action, count) per column."""
+    __slots__ = ("actions", "bits", "all_bits", "surf_nonkw", "val_masks", "runs", "keywords")
+
+
+class _TablePrep:
+    """The preparation a table's searches share: the table's token
+    vocabulary (token -> bit), the `_Prep` of every kind at no question
+    numbers, and how many condition bits those use."""
+    __slots__ = ("vocab", "groups", "n_bits", "__weakref__")
+
+
+# keyword masks use their own bits; they meet only each other
+_KEYWORD_BITS = {kw: 1 << i for i, kw in enumerate(sorted(P.KEYWORD_TOKENS))}
+
+
+@lru_cache(maxsize=None)
+def _bit(i: int) -> int:
+    """1 << i, one int for every table's bit i. The cache holds as many
+    ints as the largest table has condition or vocabulary bits."""
+    return 1 << i
+
+
+class _Masks:
+    """Token masks over a vocabulary (token -> bit); a token outside it
+    takes the next bit in `extra`. Each (column, value)'s surface mask and
+    each value's token mask are made once, and equal tuples are shared
+    (EQ and NEQ list the same values, as do GT and LT)."""
+
+    def __init__(self, vocab: dict[str, int], extra: dict[str, int], table: Table):
+        self.vocab, self.extra, self.table = vocab, extra, table
+        self._surface: dict[tuple, int] = {}
+        self._values: dict[str, int] = {}
+        self._tuples: dict[tuple, tuple] = {}
+
+    def share(self, items) -> tuple:
+        """tuple(items), or an equal tuple made before."""
+        t = tuple(items)
+        return self._tuples.setdefault(t, t)
+
+    def seed(self, p: _Prep):
+        """Take the masks of p's actions as made."""
+        for a, surface, value in zip(p.actions, p.surf_nonkw, p.val_masks):
+            self._surface[a.column, a.value] = surface
+            self._values[a.value] = value
+
+    def mask(self, tokens) -> int:
+        """The mask of tokens; a token in neither vocabulary takes the next
+        bit in `extra`."""
+        vocab, extra, m = self.vocab, self.extra, 0
+        for t in tokens:
+            b = vocab.get(t) or extra.get(t)
+            if b is None:
+                b = extra[t] = _bit(len(vocab) + len(extra))
+            m = m | b if m else b  # one token's mask is its shared bit
+        return m
+
+    def surface(self, action: P.Action) -> int:
+        key = (action.column, action.value)
+        m = self._surface.get(key)
+        if m is None:
+            m = self._surface[key] = self.mask(P.action_surface_tokens(action, self.table))
+        return m
+
+    def value(self, value: str) -> int:
+        m = self._values.get(value)
+        if m is None:
+            m = self._values[value] = self.mask(tokenize(value))
+        return m
+
+    def prep(self, actions: list[P.Action], bit_indices=None) -> _Prep:
+        """The _Prep of actions, all of one kind. A condition takes the bit
+        of its index in bit_indices; other kinds (no bit_indices) take 0."""
+        p = _Prep()
+        p.actions = tuple(actions)
+        p.bits = self.share(repeat(0, len(actions)) if bit_indices is None
+                            else map(_bit, bit_indices))
+        p.all_bits = sum(p.bits)
+        p.surf_nonkw = self.share(map(self.surface, actions))
+        p.val_masks = (None if actions[0].value is None
+                       else self.share(self.value(a.value) for a in actions))
+        runs: dict[int | None, list[int]] = {}
+        for i, a in enumerate(actions):
+            runs.setdefault(a.column, [i, 0])[1] += 1
+        p.runs = self.share(map(tuple, runs.values()))
+        p.keywords = 0
+        for kw in P.action_keywords(actions[0]):
+            p.keywords |= _KEYWORD_BITS[kw]
+        return p
+
+
+def _table_prep(table: Table) -> _TablePrep:
+    """The _TablePrep of table. Its vocabulary holds every token of the
+    table, so only a question's numbers can add one."""
+    tp = _TablePrep()
+    tp.vocab = {t: _bit(i) for i, t in enumerate(sorted(table.all_tokens))}
+    masks = _Masks(tp.vocab, {}, table)
+    tp.groups = {}
+    heads = P.head_actions(table, 1)
+    for kind in P.HEAD_KINDS:
+        if acts := [a for a in heads if a.kind == kind]:
+            tp.groups[kind] = masks.prep(acts)
+    conditions = P.condition_actions(table)
+    for kind in P.CONDITION_KINDS:
+        if idx := [i for i, a in enumerate(conditions) if a.kind == kind]:
+            tp.groups[kind] = masks.prep([conditions[i] for i in idx], idx)
+    for kind in (P.OR, P.STOP):
+        tp.groups[kind] = masks.prep([P.Action(kind)])
+    tp.n_bits = len(conditions)
+    return tp
+
+
+# table -> its _TablePrep, for as long as a _prepared entry holds it
+_TABLE_PREPS: "weakref.WeakValueDictionary[Table, _TablePrep]" = weakref.WeakValueDictionary()
+
+
+@lru_cache(maxsize=128)
+def _prepared(table: Table, question_numbers: tuple[str, ...], followups: bool) -> tuple:
+    """(table prep, extra vocabulary, layout) of the searches on table
+    whose question has these numbers, at a position that allows
+    follow-ups or not. The layout maps each kind of the grammar to its
+    groups' _Preps, in order; CONDITION stands for one group per condition
+    kind. The GT and LT groups are the table's unless the question's
+    numbers add values to them; then they are built here, with bits after
+    the table's and any new value token in the extra vocabulary."""
+    tp = _TABLE_PREPS.get(table)
+    if tp is None:
+        tp = _TABLE_PREPS[table] = _table_prep(table)
+    groups, extra = dict(tp.groups), {}
+    if question_numbers and P.GT in groups:
+        # each numeric column (one MAX each) compared with its cells and the
+        # question's numbers, in `programs.condition_actions`'s order
+        values = [(a.column, v) for a in groups[P.MAX].actions
+                  for v in P.comparison_values(table, a.column, question_numbers)]
+        if len(values) > len(groups[P.GT].actions):
+            # the table's comparisons keep their actions and masks
+            masks, n = _Masks(tp.vocab, extra, table), tp.n_bits
+            masks.seed(groups[P.GT])
+            known = {a: a for k in (P.GT, P.LT) for a in groups[k].actions}
+            for kind, first in ((P.GT, n), (P.LT, n + len(values))):
+                acts = [known.get(a, a) for a in (P.Action(kind, c, v) for c, v in values)]
+                groups[kind] = masks.prep(acts, range(first, first + len(values)))
+    heads = P.HEAD_KINDS if followups else (P.SELECT,)
+    layout = [(k, (groups[k],)) for k in heads if k in groups]
+    layout.append((P.CONDITION, tuple(groups[k] for k in P.CONDITION_KINDS if k in groups)))
+    layout += [(P.OR, (groups[P.OR],)), (P.STOP, (groups[P.STOP],))]
+    return tp, extra, tuple(layout)
+
+
+def _kind_sum(featurizer: ActionFeaturizer, weights: dict[str, float],
+              kind_sums: dict[str, float], kind: str) -> float:
+    """The weight sum of kind's ids, computed once per kind into kind_sums."""
+    start = kind_sums.get(kind)
+    if start is None:
+        start = kind_sums[kind] = weight_sum(weights, zip(featurizer.kind_ids(kind), repeat(1.0)))
+    return start
 
 
 def action_dot(featurizer: ActionFeaturizer, weights: dict[str, float],
@@ -147,11 +327,8 @@ def action_dot(featurizer: ActionFeaturizer, weights: dict[str, float],
     """theta . action_features(action), bit for bit: the weight sum of the
     action's kind ids, computed once per kind into kind_sums, continued
     left to right over its entity ids."""
-    start = kind_sums.get(action.kind)
-    if start is None:
-        start = kind_sums[action.kind] = weight_sum(
-            weights, zip(featurizer.kind_ids(action.kind), repeat(1.0)))
-    return weight_sum(weights, zip(featurizer.entity_ids(action), repeat(1.0)), start)
+    return weight_sum(weights, zip(featurizer.entity_ids(action), repeat(1.0)),
+                      _kind_sum(featurizer, weights, kind_sums, action.kind))
 
 
 def _critique(nonkw: int, cooccur: int, q_mask: int) -> float:
@@ -186,14 +363,12 @@ class _Search:
 
     def __init__(self, example: Example, table: Table, theta: ParamVector,
                  lexicon: Lexicon, config: SearchConfig, prev_answer: AnswerSet | None):
-        """Candidate preparation: every action of the table is prepared
-        once, from parts shared across actions, into the kind groups. One
-        `scorer.ActionFeaturizer` builds each column's, value's and
-        anchor's features once; `action_dot` gives each action's score
-        term. The candidate set carries that featurizer on to the update.
-        Token and keyword sets are int bitmasks over this search's
-        vocabulary; a state keeps only its non-keyword surface mask, whose
-        tokens in the question are that & q_mask."""
+        """Candidate preparation: what neither theta nor the question
+        changes comes from `_prepared`, and `group` adds the rest. A state
+        keeps only its non-keyword surface mask over the table's
+        vocabulary, whose tokens in the question are that & q_mask. The
+        candidate set carries the search's `scorer.ActionFeaturizer` on to
+        the update."""
         self.config, self.table, self.gold = config, table, example.gold_answer
         self.ctx = P.ExecContext(table, prev_answer)
         qtokens = example.question_tokens
@@ -207,25 +382,21 @@ class _Search:
         for tok, kw in lexicon.pairs:
             if tok in qset:
                 self.kw_weight[kw] = self.kw_weight.get(kw, 0) + 1
-        self.token_bit: dict[str, int] = {}
-        self.q_mask = self.mask(qset)
+        tp, extra, layout = _prepared(table, tuple(example.question_numbers),
+                                      example.position >= 1)
+        vocab = tp.vocab
+        self.q_mask = self.e1_mask = 0
+        for t in qset:
+            if b := vocab.get(t) or extra.get(t):
+                self.q_mask |= b
+        for t in self.e1:
+            self.e1_mask |= vocab[t]
         self.weights, self.kind_sums = theta.weights, {}
-        # surface masks (non-keyword, in e1) are shared per (column, value)
-        self.surface_masks: dict[tuple, tuple[int, int]] = {}
         # the groups each kind of the grammar stands for, in order; CONDITION
         # stands for one group per condition kind
-        heads = P.head_actions(table, example.position)
-        conditions = P.condition_actions(table, tuple(example.question_numbers))
         self.groups_of: dict[str, list[_Group]] = {
-            k: [self.prepare(acts, [0] * len(acts))]
-            for k in P.HEAD_KINDS if (acts := [a for a in heads if a.kind == k])}
-        self.groups_of[P.CONDITION] = [
-            self.prepare([conditions[i] for i in idx], [1 << i for i in idx])
-            for k in P.CONDITION_KINDS
-            if (idx := [i for i, a in enumerate(conditions) if a.kind == k])]
-        self.groups_of[P.OR] = [self.prepare([P.Action(P.OR)], [0])]
-        self.stop = self.prepare([P.Action(P.STOP)], [0])
-        self.groups_of[P.STOP] = [self.stop]
+            kind: [self.group(p) for p in preps] for kind, preps in layout}
+        self.stop = self.groups_of[P.STOP][0]
         # head column -> answer rows -> Jaccard of that answer against the
         # gold answer. The column stands for the head: FOLLOWUP's is None,
         # and SELECT and FPCELL of one column project the same rows alike.
@@ -233,41 +404,33 @@ class _Search:
         # (phase, base, rows) of a parent and a group -> the answer rows of
         # the parent's child by each action of the group
         self.child_rows: dict[tuple, list[int]] = {}
-        self.pool: dict[str, Candidate] = {}  # the beam_size best completed programs so far
+        # the beam_size best completed programs so far, serialization ->
+        # (parent, score, reward or None, critique); `candidates` builds them
+        self.pool: dict[str, tuple] = {}
         self.best_keys: list = []  # their rank_keys, ascending
         self.ranked = 0
         self.root = _Hyp((), "", self.ctx.start, 0, self.w_recall if self.e1 else 0.0,
                          0, 0, 0)
 
-    def mask(self, tokens) -> int:
-        """The bitmask of tokens, giving each new token the next bit."""
-        token_bit, m = self.token_bit, 0
-        for t in tokens:
-            m |= token_bit.setdefault(t, 1 << len(token_bit))
-        return m
-
-    def prepare(self, actions: list[P.Action], bits: list[int]) -> _Group:
-        """The group of actions, all of one kind; bits[i] marks the use of
-        actions[i] (conditions are distinct, so a bit per index; 0 for the
-        other kinds)."""
+    def group(self, p: _Prep) -> _Group:
+        """The group of p's actions in this search. Each action's dot
+        product is its (kind, column) part's sum, the kind's sum continued
+        over `column_ids`, unless its value shares a token with the
+        question; only such an action gets `action_dot`."""
         g = _Group()
-        g.actions, g.bits = actions, bits
-        g.all_bits = sum(bits)
-        g.dots = [action_dot(self.featurizer, self.weights, self.kind_sums, a)
-                  for a in actions]
-        g.surf_nonkw, g.surf_e1 = [], []
-        for a in actions:
-            key = (a.column, a.value)
-            masks = self.surface_masks.get(key)
-            if masks is None:
-                surf = P.action_surface_tokens(a, self.table)
-                masks = self.surface_masks[key] = (self.mask(surf), self.mask(surf & self.e1))
-            g.surf_nonkw.append(masks[0])
-            g.surf_e1.append(masks[1])
-        keywords = P.action_keywords(actions[0])
-        g.keywords = self.mask(keywords)
-        g.kw_weights = tuple((self.mask((x,)), self.kw_weight[x])
-                             for x in keywords if x in self.kw_weight)
+        g.actions, g.bits, g.all_bits = p.actions, p.bits, p.all_bits
+        g.surf_nonkw, g.keywords = p.surf_nonkw, p.keywords
+        featurizer, weights, actions = self.featurizer, self.weights, p.actions
+        start = _kind_sum(featurizer, weights, self.kind_sums, actions[0].kind)
+        sums = [weight_sum(weights, zip(featurizer.column_ids(actions[i]), repeat(1.0)), start)
+                for i, _ in p.runs]
+        g.dots = list(chain.from_iterable(map(repeat, sums, [n for _, n in p.runs])))
+        if p.val_masks is not None:
+            for i in compress(range(len(actions)), map(self.q_mask.__and__, p.val_masks)):
+                g.dots[i] = action_dot(featurizer, weights, self.kind_sums, actions[i])
+        g.surf_e1 = list(map(self.e1_mask.__and__, p.surf_nonkw))
+        g.kw_weights = tuple((_KEYWORD_BITS[x], self.kw_weight[x])
+                             for x in P.action_keywords(actions[0]) if x in self.kw_weight)
         g.tokens = ([None] * len(actions), [None] * len(actions))
         g.bound_order = None
         return g
@@ -522,13 +685,13 @@ class _Search:
 
     def complete(self, hyp: _Hyp):
         """Pool hyp's Stop child, unless it cannot be kept. The child's
-        score, critique and reward are computed once, for its key and its
-        `Candidate`. The key reads the reward only at lambda != 0, where it
-        comes from the child rows and the Jaccard memo as in ranking; at
-        lambda = 0 only a kept child's is computed, from its state. The
-        serialization is built only for a value at or below the worst key.
-        A serialization names one program, so a child whose serialization
-        was pooled before has that key, and is skipped."""
+        score, critique and, at lambda != 0, reward are computed once, for
+        its key and its `Candidate`. The key reads the reward only at
+        lambda != 0, where it comes from the child rows and the Jaccard
+        memo as in ranking. The serialization is built only for a value at
+        or below the worst key. A serialization names one program, so a
+        child whose serialization was pooled before has that key, and is
+        skipped."""
         g, keys, n = self.stop, self.best_keys, self.config.beam_size
         score = self.child_scores(hyp, g, (0,))[0]
         reward = self.rewards(hyp, g, (0,))[0] if self.config.lambda_weight != 0.0 else None
@@ -539,21 +702,26 @@ class _Search:
         ser = self.serialize(hyp, g, 0)
         if ser in self.pool or len(keys) == n and (value, ser) > keys[-1]:
             return
-        child = self.make_child(hyp, g, 0, score, ser)
-        if reward is None:
-            reward = self.jaccard(child.state[2], P.answer_rows(child.state))
-        answer = P.answer(self.ctx, child.state)
-        self.pool[ser] = Candidate(P.ProgramState(child.actions, True), ser, score, reward,
-                                   critique, exact_match(answer, self.gold), answer)
+        self.pool[ser] = (hyp, score, reward, critique)
         insort(keys, (value, ser))
         if len(keys) > n:
             del self.pool[keys.pop()[1]]
 
     def candidates(self) -> CandidateSet:
         """One beam's worth of completed programs under the final ranking,
-        so shaping governs retention, not just order."""
-        return CandidateSet([self.pool[s] for _, s in self.best_keys], self.featurizer,
-                            self.ranked)
+        so shaping governs retention, not just order. Only these become
+        `Candidate`s: the child's state, its answer and, at lambda = 0,
+        its reward are made here."""
+        entries = []
+        for _, ser in self.best_keys:
+            hyp, score, reward, critique = self.pool[ser]
+            child = self.make_child(hyp, self.stop, 0, score, ser)
+            if reward is None:
+                reward = self.jaccard(child.state[2], P.answer_rows(child.state))
+            answer = P.answer(self.ctx, child.state)
+            entries.append(Candidate(P.ProgramState(child.actions, True), ser, score, reward,
+                                     critique, exact_match(answer, self.gold), answer))
+        return CandidateSet(entries, self.featurizer, self.ranked)
 
 
 def beam_search(example: Example, table: Table, theta: ParamVector,

@@ -21,7 +21,7 @@ class IngestionError(Exception):
     """Raised for malformed table or question files."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     raw: str
     numeric: float | None = None

@@ -233,10 +233,24 @@ def test_config_file_bad_value_names_file_line_and_key(tmp_path, capsys, line, k
     ("grad-clip", "-1e9", "grad_clip"), ("grad-clip", "0", "grad_clip"),
     ("grad-clip", "nan", "grad_clip"), ("train-acc-sample", "-1", "train_accuracy_sample")])
 def test_bad_train_value_names_the_field(corpus_dir, tmp_path, capsys, flag, value, field):
-    # the = form, since argparse reads a bare -1e9 as an option
+    # the = form; test_separate_negative_values_reach_their_flags passes
+    # the value as its own argument
     rc = run(train_args(corpus_dir, tmp_path) + [f"--{flag}={value}"])
     assert rc == 1
     assert field in _one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "model.tsv").exists()
+
+
+def test_separate_negative_values_reach_their_flags(corpus_dir, tmp_path, capsys):
+    # argparse takes only -N and -N.N as negative numbers, so a separate
+    # -1e2 would read as an option and leave its flag without a value
+    rc = run(["train", "--eta", "-1e2", "--lr", "-1e-3", "--print-config", "on"])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "eta=-100.0" in out and "lr=-0.001" in out
+    rc = run(train_args(corpus_dir, tmp_path) + ["--grad-clip", "-1e9"])
+    assert rc == 1
+    assert "grad_clip" in _one_error_line(capsys.readouterr().err)
     assert not (tmp_path / "model.tsv").exists()
 
 

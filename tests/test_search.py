@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 import sys
@@ -579,3 +580,51 @@ def test_beam_search_calls_each_phase_once_per_step(monkeypatch):
     assert 1 < n <= cfg.max_actions
     steps = [[("expand", {i}), ("rank", None), ("select", None)] for i in range(n)]
     assert calls == sum(steps, []) + [("candidates", None)]
+
+
+def test_prepared_searches_match_cold_searches_and_the_eager_reference(club_table):
+    # a search takes what depends on neither theta nor the question from a
+    # cache of its table's preparation, so a search that hits the cache
+    # must give what a cold search and the eager reference give, and each
+    # prepared dot product must be theta . action_features bit for bit
+    table, lex = club_table, default_lexicon()
+    prev = AnswerSet.from_texts(["Harlequins", "Saracens", "Wasps"],
+                                coords={(0, 0), (1, 0), (2, 0)})
+    cases = [
+        # 20 is no cell: it adds GT and LT values and a token to the vocabulary
+        (example_for(table, "which club lost more than 20?", ["Harlequins", "Saracens"],
+                     coords={(0, 0), (1, 0)}), None),
+        # 21 is a cell: the actions whose value it is share a token with the question
+        (example_for(table, "which club lost 21?", ["Saracens"], coords={(1, 0)}), None),
+        (example_for(table, "of those, which lost fewer than 21?", ["Wasps"],
+                     coords={(2, 0)}, position=1), prev),
+    ]
+    feats = set()
+    for ex, _ in cases:
+        for a in P.head_actions(table, 1) + P.condition_actions(
+                table, ex.question_numbers) + (P.Action(P.OR), P.Action(P.STOP)):
+            feats.update(action_features(a, ex.question_tokens, table))
+    rng = random.Random(3)
+    thetas = [ParamVector({**{f: rng.uniform(-1, 1) for f in sorted(feats)}, "recall": r})
+              for r in (-1.0, 0.5)]
+    cfg = SearchConfig(beam_size=4, max_actions=4, max_conditions=2, lambda_weight=0.5,
+                       shaping_enabled=True)
+    search._prepared.cache_clear()
+    hot = []
+    for theta in thetas:
+        for ex, prev_answer in cases:
+            K = beam_search(ex, table, theta, lex, cfg, prev_answer)
+            want = reference_beam_search(ex, table, theta, lex, cfg, prev_answer)
+            assert K.entries == want.entries, ex.question
+            hot.append(K)
+            prepared = search._Search(ex, table, theta, lex, cfg, prev_answer)
+            for groups in prepared.groups_of.values():
+                for g in groups:
+                    for a, dot in zip(g.actions, g.dots):
+                        assert dot == theta.dot(action_features(a, ex.question_tokens, table)), a
+    # one preparation per (table, question numbers, follow-ups allowed) key
+    assert search._prepared.cache_info().misses == len(cases)
+    for K, (theta, (ex, prev_answer)) in zip(hot, itertools.product(thetas, cases)):
+        search._prepared.cache_clear()
+        cold = beam_search(ex, table, theta, lex, cfg, prev_answer)
+        assert (cold.entries, cold.ranked) == (K.entries, K.ranked), ex.question
