@@ -19,10 +19,15 @@ _LAYOUT: `action_tokens` renders it, `parse` matches it against the
 tokens, and the keyword sets are its literals.
 Execution is written once too: `step` advances an execution state by one
 action, `answer_values`/`answer` project a state onto the answer, and
-`execute` is a fold of `step`. The search calls the same `step` for every
-child it rates, with one ExecContext per search. Row sets are `int`
-bitmasks, bit r standing for row r, so a clause is an `&` and an OR arm an
-`|`; `answer` builds the answer's `frozenset`s.
+`execute` is a fold of `step`. Row sets are `int` bitmasks, bit r standing
+for row r, so a clause is an `&` and an OR arm an `|`; `answer` builds the
+answer's `frozenset`s. A condition that is not an extremum keeps a fixed
+mask of the table's rows, which `step` reads from its ExecContext; the
+rule that applies a condition's mask to a state is `condition_rows`, which
+`step` calls for one action and the search, rating children by reward,
+for a whole kind of conditions at once, with masks it prepares once per
+table. The search steps only the children it keeps, and the extrema and
+heads it rates.
 """
 from __future__ import annotations
 
@@ -363,7 +368,10 @@ class ExecContext:
     """What executing on one table after one previous answer needs, built
     once: the mask of every row, the previous answer's cells clipped to the
     table (None without a previous answer), the mask of their rows, and the
-    mask of the row FPCELL reads.
+    mask of the row FPCELL reads. `masks` maps each condition that is not an
+    extremum to the mask of the table's rows satisfying it, filled the
+    first time `step` meets the condition; the searches on a table share
+    one, which holds the masks they prepare.
 
     An execution state is the tuple (phase, condition count, head, base,
     rows): `head` is the head action, `rows` the mask of rows the clauses
@@ -372,7 +380,7 @@ class ExecContext:
     arm, `rows` holds the first arm's rows."""
 
     __slots__ = ("table", "all_rows", "prev_coords", "prev_rows", "fp_rows",
-                 "start", "_condition_rows")
+                 "start", "masks", "_extrema")
 
     def __init__(self, table: Table, prev_answer: AnswerSet | None = None):
         self.table = table
@@ -388,10 +396,23 @@ class ExecContext:
             if len(self.prev_coords) == 1:
                 self.fp_rows = self.prev_rows
         self.start = ("empty", 0, None, self.all_rows, self.all_rows)
-        # (id(action), scope) -> (action, mask of the scope's rows satisfying
-        # it); the stored action keeps its id from being reused while the
-        # entry lives
-        self._condition_rows: dict[tuple[int, int], tuple[Action, int]] = {}
+        self.masks: dict[Action, int] = {}
+        # (id(action), scope) -> (action, mask of the scope's rows holding
+        # an extremum); the stored action keeps its id from being reused
+        # while the entry lives
+        self._extrema: dict[tuple[int, int], tuple[Action, int]] = {}
+
+
+def condition_rows(phase: str, base: int, rows: int, masks) -> list[int]:
+    """The rows each child of an execution state (phase, base, rows) keeps
+    by a condition whose mask is masks[i]: a fixed condition's rows over
+    the whole table, or an extremum's within the clause's scope. A fresh
+    clause keeps the mask's rows among `rows`; the second arm of an OR adds
+    those among `base` to the first arm's rows. A condition's child
+    answers with these rows. `step` applies this rule to one condition."""
+    if phase == "or":
+        return [rows | (m & base) for m in masks]
+    return [m & rows for m in masks]
 
 
 def step(ctx: ExecContext, state: tuple, action: Action) -> tuple:
@@ -400,17 +421,21 @@ def step(ctx: ExecContext, state: tuple, action: Action) -> tuple:
     kind = action.kind
     nxt = next_phase(phase, kind)
     if kind in CONDITION_KINDS:
-        if phase != "or":
-            base = rows  # a fresh clause filters the survivors so far
-        # an extremum depends on its scope; any other condition keeps a
-        # fixed row set, narrowed to the scope
-        scope = base if kind == MAX or kind == MIN else ctx.all_rows
-        hit = ctx._condition_rows.get((id(action), scope))
-        if hit is None:
-            hit = ctx._condition_rows[id(action), scope] = (
-                action, match_rows(action, ctx.table, scope))
-        sub = hit[1] & base
-        return nxt, count + 1, head, base, (rows | sub if phase == "or" else sub)
+        # a fresh clause filters the survivors so far, an OR arm the scope
+        # of the first arm
+        scope = base if phase == "or" else rows
+        if kind == MAX or kind == MIN:
+            # an extremum depends on its scope
+            hit = ctx._extrema.get((id(action), scope))
+            if hit is None:
+                hit = ctx._extrema[id(action), scope] = (
+                    action, match_rows(action, ctx.table, scope))
+            mask = hit[1]
+        else:
+            mask = ctx.masks.get(action)
+            if mask is None:
+                mask = ctx.masks[action] = match_rows(action, ctx.table, ctx.all_rows)
+        return nxt, count + 1, head, scope, condition_rows(phase, base, rows, (mask,))[0]
     if kind == SELECT:
         return nxt, count, action, ctx.all_rows, ctx.all_rows
     if kind == FOLLOWUP or kind == FPCELL:

@@ -15,21 +15,27 @@ Scores and critique values are maintained incrementally per child; tests
 cross-check them against the direct featurize/critique path. Legality and
 execution are not copied here: a state's legal kinds come from
 `programs.legal_kinds`, which reads the grammar table and prunes children
-that cannot reach Stop within the action and condition budgets, and its
-rows come from `programs.step` over one `programs.ExecContext` per search.
-One `_Search` holds a search's state; `beam_search` drives its phases.
+that cannot reach Stop within the action and condition budgets. A kept
+child's rows come from `programs.step` over one `programs.ExecContext` per
+search. To rate a parent's children by partial reward, the search takes
+the rows of a whole group of conditions at once from
+`programs.condition_rows`, the rule `step` applies, and steps only
+extrema, whose rows depend on their scope. One `_Search` holds a search's
+state; `beam_search` drives its phases.
 
 Candidate preparation keeps what depends on neither theta nor the question
 in `_prepared`, an LRU of 128 (table, question numbers, follow-ups allowed)
 keys whose groups are shared per table where question numbers cannot
-change them: each kind's actions, condition bits and token masks over the
-table's vocabulary. An action's features are its kind's, then its
-column's, then its value's and those near its anchor, and a value with no
-token in the question adds none, so each search sums theta over one
-(kind, column) part per kind and column and gives an action its own sum
-only when its value shares a token with the question. `weight_sum` adds
-left to right, so both are the action's dot product bit for bit. Only the
-final beam's programs become `Candidate`s.
+change them: each kind's actions, condition bits, token masks over the
+table's vocabulary and, for a condition that is not an extremum, the mask
+of the table's rows it keeps, which `step` reads too. An action's
+features are its kind's, then its column's, then its value's and those
+near its anchor, and a value with no token in the question adds none, so
+each search sums theta over one (kind, column) part per kind and column
+and gives an action its own sum only when its value shares a token with
+the question. `weight_sum` adds left to right, so both are the action's
+dot product bit for bit. Only the final beam's programs become
+`Candidate`s.
 
 Only children that can reach the beam get a rank value. At lambda =
 infinity a child below the beam_size-th best reward cannot. At finite
@@ -52,10 +58,11 @@ from __future__ import annotations
 import heapq
 import math
 import weakref
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import chain, compress, groupby, repeat
+from operator import attrgetter
 
 from . import programs as P
 from .critique import EMPTY_LEXICON, Lexicon
@@ -63,7 +70,7 @@ from .scorer import RECALL_FEATURE, ActionFeaturizer, ParamVector, weight_sum
 # unused here; bench/tracing.py patches search.action_features, so the name stays
 from .scorer import action_features  # noqa: F401
 from .tables import AnswerSet, Example, Table, exact_match
-from .text import tokenize
+from .text import parse_number, tokenize
 
 
 @dataclass
@@ -150,13 +157,13 @@ class _Hyp:
 class _Group:
     """The prepared actions of one kind, as parallel lists: the actions'
     feature dot products, surface masks (non-keyword, and in the question's
-    table tokens), and condition bits, with the kind's keyword mask and
-    co-occurrence weights once. `tokens` holds each action's serialization
-    tokens [not after OR, after OR], joined the first time one is needed.
-    The actions, bits, non-keyword masks and keyword mask are a `_Prep`'s,
-    shared by the searches on the table."""
+    table tokens), condition bits and row masks, with the kind's keyword
+    mask and co-occurrence weights once. `tokens` holds each action's
+    serialization tokens [not after OR, after OR], joined the first time
+    one is needed. The actions, bits, non-keyword masks, row masks and
+    keyword mask are a `_Prep`'s, shared by the searches on the table."""
     __slots__ = ("actions", "dots", "surf_nonkw", "surf_e1", "bits", "all_bits",
-                 "keywords", "kw_weights", "tokens", "bound_order")
+                 "masks", "keywords", "kw_weights", "tokens", "bound_order")
 
 
 class _Prep:
@@ -165,15 +172,22 @@ class _Prep:
     non-keyword surface masks over the table's token vocabulary, the
     masks of their values' tokens (None for a kind without a value), and
     the kind's keyword mask. The actions of one column are adjacent;
-    `runs` holds (first action, count) per column."""
-    __slots__ = ("actions", "bits", "all_bits", "surf_nonkw", "val_masks", "runs", "keywords")
+    `runs` holds (first action, count) per column. `masks` holds the
+    masks of the table's rows the actions satisfy, for a condition that
+    is not an extremum, from the first search that rates the group's
+    children by reward; it is None until then, and for any other kind."""
+    __slots__ = ("actions", "bits", "all_bits", "surf_nonkw", "val_masks", "masks", "runs",
+                 "keywords")
 
 
 class _TablePrep:
     """The preparation a table's searches share: the table's token
     vocabulary (token -> bit), the `_Prep` of every kind at no question
-    numbers, and how many condition bits those use."""
-    __slots__ = ("vocab", "groups", "n_bits", "__weakref__")
+    numbers, how many condition bits those use, and the row mask of each
+    condition that is not an extremum that a search has needed: the
+    `masks` of the _Preps made so far, and those `programs.step` matched
+    itself, as the searches' ExecContexts share it."""
+    __slots__ = ("vocab", "groups", "n_bits", "masks", "__weakref__")
 
 
 # keyword masks use their own bits; they meet only each other
@@ -242,6 +256,7 @@ class _Masks:
         p.bits = self.share(repeat(0, len(actions)) if bit_indices is None
                             else map(_bit, bit_indices))
         p.all_bits = sum(p.bits)
+        p.masks = None
         p.surf_nonkw = self.share(map(self.surface, actions))
         p.val_masks = (None if actions[0].value is None
                        else self.share(self.value(a.value) for a in actions))
@@ -253,6 +268,41 @@ class _Masks:
         for kw in P.action_keywords(actions[0]):
             p.keywords |= _KEYWORD_BITS[kw]
         return p
+
+
+_FIXED_KINDS = (P.EQ, P.NEQ, P.GT, P.LT)  # the conditions whose rows are fixed
+
+
+def _row_masks(table: Table, kind: str, actions) -> list[int]:
+    """The mask of the table's rows that satisfy each of actions,
+    conditions of one kind that is not an extremum, and so of rows that
+    depend on the table alone: what `programs.match_rows` gives over every
+    row. Per column, EQ and NEQ read a map from each cell to the rows of
+    its normalized value, and GT and LT bisect the column's numeric cells,
+    in ascending order, for the rows below or above the value."""
+    out: list[int] = []
+    flip = (1 << table.row_count) - 1 if kind == P.NEQ else 0
+    for col, acts in groupby(actions, attrgetter("column")):
+        cells = [row[col] for row in table.cells]
+        if kind == P.EQ or kind == P.NEQ:
+            norm, by_norm = table.normalized_column_values[col], {}
+            for r, v in enumerate(norm):
+                by_norm[v] = by_norm.get(v, 0) | _bit(r)
+            rows_of = {c.raw: by_norm[v] for c, v in zip(cells, norm)}
+            out += [flip ^ rows_of[a.value] for a in acts]
+            continue
+        numeric = sorted((c.numeric, r) for r, c in enumerate(cells) if c.numeric is not None)
+        values, below = [v for v, _ in numeric], [0]  # below[i]: the rows of values[:i]
+        for _, r in numeric:
+            below.append(below[-1] | _bit(r))
+        number_of = {c.raw: c.numeric for c in cells}
+        for a in acts:
+            x = number_of.get(a.value)
+            if x is None:  # a number of the question's
+                x = parse_number(a.value)
+            out.append(below[-1] ^ below[bisect_right(values, x)] if kind == P.GT
+                       else below[bisect_left(values, x)])
+    return out
 
 
 def _table_prep(table: Table) -> _TablePrep:
@@ -273,6 +323,7 @@ def _table_prep(table: Table) -> _TablePrep:
     for kind in (P.OR, P.STOP):
         tp.groups[kind] = masks.prep([P.Action(kind)])
     tp.n_bits = len(conditions)
+    tp.masks = {}
     return tp
 
 
@@ -370,7 +421,10 @@ class _Search:
         candidate set carries the search's `scorer.ActionFeaturizer` on to
         the update."""
         self.config, self.table, self.gold = config, table, example.gold_answer
+        tp, extra, layout = _prepared(table, tuple(example.question_numbers),
+                                      example.position >= 1)
         self.ctx = P.ExecContext(table, prev_answer)
+        self.ctx.masks = tp.masks
         qtokens = example.question_tokens
         qset = frozenset(qtokens)
         self.featurizer = ActionFeaturizer(qtokens, table)
@@ -382,8 +436,6 @@ class _Search:
         for tok, kw in lexicon.pairs:
             if tok in qset:
                 self.kw_weight[kw] = self.kw_weight.get(kw, 0) + 1
-        tp, extra, layout = _prepared(table, tuple(example.question_numbers),
-                                      example.position >= 1)
         vocab = tp.vocab
         self.q_mask = self.e1_mask = 0
         for t in qset:
@@ -396,14 +448,15 @@ class _Search:
         # stands for one group per condition kind
         self.groups_of: dict[str, list[_Group]] = {
             kind: [self.group(p) for p in preps] for kind, preps in layout}
-        self.stop = self.groups_of[P.STOP][0]
+        self.stop, self.or_ = self.groups_of[P.STOP][0], self.groups_of[P.OR][0]
         # head column -> answer rows -> Jaccard of that answer against the
         # gold answer. The column stands for the head: FOLLOWUP's is None,
         # and SELECT and FPCELL of one column project the same rows alike.
         self.jaccards: dict[int | None, dict[int, float]] = {}
-        # (phase, base, rows) of a parent and a group -> the answer rows of
-        # the parent's child by each action of the group
-        self.child_rows: dict[tuple, list[int]] = {}
+        # (phase, base, rows) of a parent and a condition group -> (the
+        # answer rows of the parent's child by each action of the group,
+        # head column -> those children's partial rewards)
+        self.reward_lists: dict[tuple, tuple[list[int], dict]] = {}
         # the beam_size best completed programs so far, serialization ->
         # (parent, score, reward or None, critique); `candidates` builds them
         self.pool: dict[str, tuple] = {}
@@ -416,12 +469,18 @@ class _Search:
         """The group of p's actions in this search. Each action's dot
         product is its (kind, column) part's sum, the kind's sum continued
         over `column_ids`, unless its value shares a token with the
-        question; only such an action gets `action_dot`."""
+        question; only such an action gets `action_dot`. A search that
+        rates children by reward makes p's row masks if no search did, and
+        shares them with `programs.step` through the table's masks."""
         g = _Group()
-        g.actions, g.bits, g.all_bits = p.actions, p.bits, p.all_bits
-        g.surf_nonkw, g.keywords = p.surf_nonkw, p.keywords
         featurizer, weights, actions = self.featurizer, self.weights, p.actions
-        start = _kind_sum(featurizer, weights, self.kind_sums, actions[0].kind)
+        kind = actions[0].kind
+        if p.masks is None and kind in _FIXED_KINDS and self.config.lambda_weight != 0.0:
+            p.masks = tuple(_row_masks(self.table, kind, actions))
+            self.ctx.masks.update(zip(actions, p.masks))
+        g.actions, g.bits, g.all_bits, g.masks = actions, p.bits, p.all_bits, p.masks
+        g.surf_nonkw, g.keywords = p.surf_nonkw, p.keywords
+        start = _kind_sum(featurizer, weights, self.kind_sums, kind)
         sums = [weight_sum(weights, zip(featurizer.column_ids(actions[i]), repeat(1.0)), start)
                 for i, _ in p.runs]
         g.dots = list(chain.from_iterable(map(repeat, sums, [n for _, n in p.runs])))
@@ -459,30 +518,46 @@ class _Search:
 
     def rewards(self, hyp: _Hyp, g: _Group, idx) -> list[float]:
         """The partial rewards of hyp's children by g.actions[i], i in idx.
-        The rows a child leaves depend only on the parent's (phase, base,
-        rows) and the action, so parents that differ only in head or
-        condition count share one list of child rows, filled through
-        `programs.step`. A partial reward depends only on the head column
-        and the answer rows, so each (column, rows) pair is scored once
-        per search. A condition, OR or Stop keeps the parent's head; the
-        root's children are heads, each the head of its own child."""
+        A partial reward depends only on the head column and the answer
+        rows, so each (column, rows) pair is scored once per search. A
+        condition, OR or Stop keeps the parent's head; the root's children
+        are heads, each the head of its own child, and are stepped. A Stop
+        child answers with the parent's rows, and an OR child, whose arm
+        has not run, with the parent's base. The rows a condition's child
+        keeps depend only on the parent's (phase, base, rows) and the
+        action: `programs.condition_rows` gives them for a whole group from
+        its row masks, and an extremum, whose rows depend on its scope, is
+        stepped. So parents that differ only in head or condition count
+        share one list of child rows, and those that share the head column
+        too one list of rewards."""
         state = hyp.state
         phase, _, head, base, rows = state
-        key = (phase, base, rows, g)
-        answers = self.child_rows.get(key)
-        if answers is None:
-            ctx = self.ctx
-            answers = self.child_rows[key] = [P.answer_rows(P.step(ctx, state, a))
-                                              for a in g.actions]
-        if len(idx) < len(answers):
-            answers = [answers[i] for i in idx]
         if head is None:
-            return [self.jaccard(g.actions[i], a) for i, a in zip(idx, answers)]
-        # one lookup per child, and a projection only for rows not yet seen
-        out = list(map(self.jaccards.setdefault(head.column, {}).get, answers))
-        if None in out:
-            out = [self.jaccard(head, a) if r is None else r for r, a in zip(out, answers)]
-        return out
+            ctx = self.ctx
+            return [self.jaccard(a, P.answer_rows(P.step(ctx, state, a)))
+                    for a in map(g.actions.__getitem__, idx)]
+        if g is self.stop:
+            return [self.jaccard(head, rows)]
+        if g is self.or_:
+            return [self.jaccard(head, base)]
+        key = (phase, base, rows, g)
+        lists = self.reward_lists.get(key)
+        if lists is None:
+            if g.masks is not None:
+                answers = P.condition_rows(phase, base, rows, g.masks)
+            else:
+                ctx = self.ctx
+                answers = [P.answer_rows(P.step(ctx, state, a)) for a in g.actions]
+            lists = self.reward_lists[key] = (answers, {})
+        answers, by_column = lists
+        out = by_column.get(head.column)
+        if out is None:
+            memo = self.jaccards.setdefault(head.column, {})
+            # a projection only for rows not yet seen
+            for a in set(answers).difference(memo):
+                self.jaccard(head, a)
+            out = by_column[head.column] = list(map(memo.__getitem__, answers))
+        return out if len(idx) == len(out) else [out[i] for i in idx]
 
     def child_scores(self, hyp: _Hyp, g: _Group, idx) -> list[float]:
         """The scores of hyp's children by g.actions[i], i in idx: the
@@ -687,8 +762,8 @@ class _Search:
         """Pool hyp's Stop child, unless it cannot be kept. The child's
         score, critique and, at lambda != 0, reward are computed once, for
         its key and its `Candidate`. The key reads the reward only at
-        lambda != 0, where it comes from the child rows and the Jaccard
-        memo as in ranking. The serialization is built only for a value at
+        lambda != 0, where it is the Jaccard of the parent's rows, from the
+        memo ranking fills. The serialization is built only for a value at
         or below the worst key. A serialization names one program, so a
         child whose serialization was pooled before has that key, and is
         skipped."""

@@ -3,10 +3,13 @@
 dozens of models and takes about 113 s on a 2-core machine with Python 3.11,
 against its 600 s gate; everything else is fast.
 """
+import importlib.util
 import json
 import math
+import os
 import random
 import time
+from pathlib import Path
 
 from denoparse import programs as P
 from denoparse.critique import critique_policy, default_lexicon, shape
@@ -22,6 +25,17 @@ from helpers import (Objectives, finite_difference, margin_structure_stable,
 
 def report(n, name, detail=""):
     print(f"\n[acceptance] criterion {n} ({name}): PASS {detail}")
+
+
+def _recorded():
+    """scripts/record_outputs.py, which writes the experiment outputs that
+    criteria 6 and 7 compare with."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "record_outputs.py")
+    spec = importlib.util.spec_from_file_location("record_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_criterion_1_generalized_update_reductions():
@@ -253,6 +267,8 @@ def test_criterion_6_directional_trends():
     assert checks["averaged_violations_steadier_than_most_violating"]["passed"], checks
     assert checks["offpolicy_beats_single_sample"]["passed"], checks
     assert result["elapsed_seconds"] < 600.0, result["elapsed_seconds"]
+    recorded = _recorded()
+    assert recorded.trends_json(result) == Path(recorded.TRENDS_PATH).read_text("utf-8")
     report(6, "desk-scale directional trends",
            f"({result['elapsed_seconds']:.0f}s: "
            f"maver {checks['shaping_improves_maver']['maver_shaped_mean']:.3f}"
@@ -288,5 +304,7 @@ def test_criterion_7_update_zoo_runs_end_to_end(tmp_path):
     for spec, entry in zoo.items():
         assert len(entry["history"]["epochs"]) == 2, spec
         assert 0.0 <= entry["final_accuracy"] <= 1.0
+    recorded = _recorded()
+    assert recorded.zoo_json(zoo) == Path(recorded.ZOO_PATH).read_text("utf-8")
     report(7, "update registry end-to-end",
            f"({', '.join(DEFAULT_ZOO_SPECS)})")

@@ -3,8 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from denoparse import programs as P
-from denoparse.tables import AnswerSet
+from denoparse import programs as P, search, synth
+from denoparse.critique import EMPTY_LEXICON
+from denoparse.scorer import ParamVector
+from denoparse.search import SearchConfig
+from denoparse.tables import AnswerSet, Example, jaccard
 
 from conftest import make_table
 from helpers import oracle_execute, random_table
@@ -432,3 +435,99 @@ def test_executor_matches_oracle_on_wide_tables_and_partial_states():
                 high_rows += any(r >= 64 for r, _ in mine.coords)
                 open_ors += state.actions[-1].kind == P.OR
     assert high_rows and open_ors and heads == set(P.HEAD_KINDS)
+
+
+# --- the search's group form against step and the oracle ---------------------
+
+# hand-made tables: normalized-equal cells (case variants and spacing), empty
+# cells, and non-numeric cells in a numeric column
+_GROUP_TABLES = [
+    make_table("variants", ("Name", "Team", "Score"), [
+        ("Ada", "Red  Sox", "3"),
+        ("ada", "red sox", "3.0"),
+        (" ADA ", "Blue", "n/a"),
+        ("Bob", "", "7"),
+        ("", "Red Sox", ""),
+    ]),
+    make_table("sparse", ("City", "Pop"), [
+        ("Oslo", "5"), ("Rome", "-"), ("Lima", "12"), ("oslo", ""), ("  ", "5"),
+    ]),
+]
+# question numbers, some inside no table, so GT and LT compare with values
+# that come only from the question
+_NUMBERS = ["2", "3", "8", "3.5", "-1", "1,000", "12"]
+
+
+def _synth_table(seed):
+    corpus = synth.generate_corpus(synth.SynthConfig(sequences=1, seed=seed))
+    return corpus.tables[min(corpus.tables)]
+
+
+@st.composite
+def _group_cases(draw):
+    """(table, question, previous answer, gold answer): a hand-made table
+    or one from `synth`, a question holding some numbers, previous answer
+    cells and a gold answer drawn from the table."""
+    table = draw(st.one_of(st.sampled_from(_GROUP_TABLES), st.integers(0, 40).map(_synth_table)))
+    numbers = draw(st.lists(st.sampled_from(_NUMBERS), max_size=2, unique=True))
+    cells = st.tuples(st.integers(0, table.row_count - 1), st.integers(0, table.col_count - 1))
+    prev = AnswerSet(frozenset(), frozenset(draw(st.lists(cells, max_size=3))))
+    col = draw(st.integers(0, table.col_count - 1))
+    gold_rows = draw(st.lists(st.integers(0, table.row_count - 1), max_size=3))
+    gold = AnswerSet.from_texts([table.cells[r][col].raw for r in gold_rows])
+    return table, "which one had " + " or ".join(numbers) + " ?", prev, gold
+
+
+def _rows_of(answer):
+    return sum(1 << r for r in {r for r, _ in answer.coords})
+
+
+@settings(deadline=None, max_examples=80)
+@given(case=_group_cases(), data=st.data())
+def test_group_form_matches_step_and_the_oracle(case, data):
+    # the search rates a (parent, group) pair's children at once: a fixed
+    # condition's child keeps `P.condition_rows` of the condition's
+    # prepared mask, an OR child answers with the parent's base and a Stop
+    # child with its rows. Every child's rows must be those of `P.step` on a
+    # context that matches each condition itself, and the oracle's; every
+    # partial reward the Jaccard of that child's answer
+    table, question, prev, gold = case
+    example = Example("s/0", 1, question, table.id, gold)
+    config = SearchConfig(max_actions=6, max_conditions=3)
+    s = search._Search(example, table, ParamVector(), EMPTY_LEXICON, config, prev)
+    ctx = P.ExecContext(table, prev)
+    conditions = P.condition_actions(table, example.question_numbers)
+    draw_cond = lambda: data.draw(st.sampled_from(conditions))  # noqa: E731
+    heads = [sel(c) for c in range(table.col_count)] + [P.Action(P.FOLLOWUP)]
+    parents = [[h] for h in heads]  # select and followup
+    for head in (data.draw(st.sampled_from(heads)), data.draw(st.sampled_from(heads))):
+        c1, c2, c3 = draw_cond(), draw_cond(), draw_cond()
+        parents += [[head, c1], [head, c1, P.Action(P.OR)],  # cond, or
+                    [head, c1, P.Action(P.OR), c2],  # or_arm
+                    [head, c1, P.Action(P.OR), c2, c3]]
+    phases = set()
+    for actions in parents:
+        state = ctx.start
+        for a in actions:
+            state = P.step(ctx, state, a)
+        phase, _, _, base, rows = state
+        phases.add(phase)
+        hyp = search._Hyp(tuple(actions), "", state, 0, 0.0, 0, 0, 0)
+        for g in s.legal(hyp):
+            children = [P.step(ctx, state, a) for a in g.actions]
+            want = [P.answer_rows(c) for c in children]
+            oracle = [_rows_of(oracle_execute(P.ProgramState(tuple(actions) + (a,),
+                                                             a.kind == P.STOP), table, prev))
+                      for a in g.actions]
+            assert want == oracle, (actions, g.actions[0].kind)
+            if g.masks is not None:
+                assert P.condition_rows(phase, base, rows, g.masks) == want, \
+                    (actions, g.actions[0].kind)
+            elif g is s.or_:
+                assert want == [base]
+            elif g is s.stop:
+                assert want == [rows]
+            rewards = [jaccard(P.answer(ctx, c), gold) for c in children]
+            assert s.rewards(hyp, g, range(len(g.actions))) == rewards, \
+                (actions, g.actions[0].kind)
+    assert phases >= {"select", "followup", "cond", "or", "or_arm"}

@@ -527,30 +527,45 @@ def test_reward_floor_ranks_fewer_children_at_lambda_inf():
 
 def test_ranking_steps_each_parent_rows_and_action_once(monkeypatch):
     # parents that differ only in head or condition count share their
-    # children's rows, so ranking steps each (phase, base, rows, action)
-    # at most once per search; make_child steps again only to build a
-    # survivor or a completed program
+    # children's rows, so ranking computes the child rows of each (phase,
+    # base, rows) and group at most once per search: a condition group's
+    # all at once through `P.condition_rows`, and each action of any other
+    # group through `P.step`; make_child steps again only to build a
+    # survivor or a completed program, and `step` applies
+    # `condition_rows` to the one action it steps
     ex, table, theta, prev = _followup_case()
     cfg = SearchConfig(beam_size=8, max_actions=5, lambda_weight=math.inf,
                        shaping_enabled=True)
     want = beam_search(ex, table, theta, default_lexicon(), cfg, prev)
 
-    ranking = []
-    step = P.step
+    ranking, grouped = [], []
+    step, condition_rows = P.step, P.condition_rows
 
-    def spy(ctx, state, action):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code.co_name != "make_child":
+    def ranking_call():
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_code.co_name not in ("make_child", "step"):
             frame = frame.f_back
-        if frame is None:
+        return frame is None
+
+    def spy_step(ctx, state, action):
+        if ranking_call():
             phase, _, _, base, rows = state
             ranking.append((phase, base, rows, action))
         return step(ctx, state, action)
 
-    monkeypatch.setattr(P, "step", spy)
+    def spy_rows(phase, base, rows, masks):
+        if ranking_call():
+            # a group's masks live as long as the search, so their id
+            # names the group
+            grouped.append((phase, base, rows, id(masks)))
+        return condition_rows(phase, base, rows, masks)
+
+    monkeypatch.setattr(P, "step", spy_step)
+    monkeypatch.setattr(P, "condition_rows", spy_rows)
     got = beam_search(ex, table, theta, default_lexicon(), cfg, prev)
-    assert len(ranking) > cfg.beam_size
+    assert len(ranking) > cfg.beam_size and len(grouped) > cfg.beam_size
     assert len(ranking) == len(set(ranking))
+    assert len(grouped) == len(set(grouped))
     assert got.entries == want.entries
 
 
