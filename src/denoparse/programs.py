@@ -26,8 +26,10 @@ mask of the table's rows, which `step` reads from its ExecContext; the
 rule that applies a condition's mask to a state is `condition_rows`, which
 `step` calls for one action and the search, rating children by reward,
 for a whole kind of conditions at once, with masks it prepares once per
-table. The search steps only the children it keeps, and the extrema and
-heads it rates.
+table. `advance` is the grammar half of `step`: the phase, condition count
+and head after an action, which need no rows. The search takes each child's
+from it, steps a child's rows only the first time they are read, and steps
+the extrema and heads it rates.
 """
 from __future__ import annotations
 
@@ -415,11 +417,25 @@ def condition_rows(phase: str, base: int, rows: int, masks) -> list[int]:
     return [m & rows for m in masks]
 
 
-def step(ctx: ExecContext, state: tuple, action: Action) -> tuple:
-    """The execution state after `action`; see ExecContext."""
-    phase, count, head, base, rows = state
+def advance(phase: str, count: int, head: Action | None, action: Action) -> tuple:
+    """The grammar half of `step`: the phase, condition count and head of
+    the execution state after `action`, which need no rows. The search
+    takes a child's from here and steps its rows only when they are read."""
     kind = action.kind
     nxt = next_phase(phase, kind)
+    if kind in CONDITION_KINDS:
+        return nxt, count + 1, head
+    if kind in HEAD_KINDS:
+        return nxt, count, action
+    return nxt, count, head
+
+
+def step(ctx: ExecContext, state: tuple, action: Action) -> tuple:
+    """The execution state after `action`; see ExecContext. Its phase,
+    condition count and head are `advance`'s."""
+    phase, count, head, base, rows = state
+    nxt, count, head = advance(phase, count, head, action)
+    kind = action.kind
     if kind in CONDITION_KINDS:
         # a fresh clause filters the survivors so far, an OR arm the scope
         # of the first arm
@@ -435,14 +451,14 @@ def step(ctx: ExecContext, state: tuple, action: Action) -> tuple:
             mask = ctx.masks.get(action)
             if mask is None:
                 mask = ctx.masks[action] = match_rows(action, ctx.table, ctx.all_rows)
-        return nxt, count + 1, head, scope, condition_rows(phase, base, rows, (mask,))[0]
+        return nxt, count, head, scope, condition_rows(phase, base, rows, (mask,))[0]
     if kind == SELECT:
-        return nxt, count, action, ctx.all_rows, ctx.all_rows
+        return nxt, count, head, ctx.all_rows, ctx.all_rows
     if kind == FOLLOWUP or kind == FPCELL:
         if ctx.prev_coords is None:
             raise ExecutionError(f"{kind} requires the previous answer")
         rows = ctx.prev_rows if kind == FOLLOWUP else ctx.fp_rows
-        return nxt, count, action, rows, rows
+        return nxt, count, head, rows, rows
     return nxt, count, head, base, rows  # OR and Stop keep the rows
 
 

@@ -11,17 +11,25 @@ pool; stored scores and rewards are never shaped.
 
 Completed programs leave the beam for a pool of the beam_size best so
 far, the final beam; a beam as wide as the program space collects it all.
-Scores and critique values are maintained incrementally per child; tests
-cross-check them against the direct featurize/critique path. Legality and
-execution are not copied here: a state's legal kinds come from
-`programs.legal_kinds`, which reads the grammar table and prunes children
-that cannot reach Stop within the action and condition budgets. A kept
-child's rows come from `programs.step` over one `programs.ExecContext` per
-search. To rate a parent's children by partial reward, the search takes
-the rows of a whole group of conditions at once from
-`programs.condition_rows`, the rule `step` applies, and steps only
-extrema, whose rows depend on their scope. One `_Search` holds a search's
-state; `beam_search` drives its phases.
+A caller that reads fewer, as `training.evaluate` reads only the top
+program, passes `keep`, and the pool holds that many: the beam does not
+depend on the pool, so they are the full pool's first. Scores and critique
+values are maintained incrementally per child; tests cross-check them
+against the direct featurize/critique path. Legality and execution are not
+copied here: a state's legal kinds come from `programs.legal_kinds`, which
+reads the grammar table and prunes children that cannot reach Stop within
+the action and condition budgets. A kept child takes its phase, condition
+count and head from `programs.advance`, the grammar half of `programs.step`,
+and keeps its parent; its rows are stepped by `programs.step` over one
+`programs.ExecContext` per search from its parent's the first time something
+reads them, and kept. Rating children by partial reward at lambda != 0
+reads each parent it rates, and the candidates read each returned program,
+so no state is stepped twice and one that nothing reads never is. To rate a
+parent's children, the search takes the rows of a whole group of
+conditions at once from `programs.condition_rows`, the rule `step`
+applies, and steps only the root's heads and the extrema, whose rows
+depend on their scope; a kept child of such a step takes its rows. One `_Search` holds a
+search's state; `beam_search` drives its phases.
 
 Candidate preparation keeps what depends on neither theta nor the question
 in `_prepared`, an LRU of 128 (table, question numbers, follow-ups allowed)
@@ -34,8 +42,7 @@ near its anchor, and a value with no token in the question adds none, so
 each search sums theta over one (kind, column) part per kind and column
 and gives an action its own sum only when its value shares a token with
 the question. `weight_sum` adds left to right, so both are the action's
-dot product bit for bit. Only the final beam's programs become
-`Candidate`s.
+dot product bit for bit. Only the pooled programs become `Candidate`s.
 
 Only children that can reach the beam get a rank value. At lambda =
 infinity a child below the beam_size-th best reward cannot. At finite
@@ -146,12 +153,17 @@ def rank_key(serialization: str, reward: float, score: float, critique: float,
 
 
 class _Hyp:
-    __slots__ = ("actions", "ser", "state", "used", "score", "nonkw",
+    """A state of the search. `grammar` is its execution state's (phase,
+    condition count, head), `state` the whole execution state, or None
+    until `_Search.resolve` steps it from its parent's."""
+    __slots__ = ("actions", "ser", "grammar", "parent", "state", "used", "score", "nonkw",
                  "keywords", "cooccur")
 
-    def __init__(self, actions, ser, state, used, score, nonkw, keywords, cooccur):
-        self.actions, self.ser, self.state, self.used = actions, ser, state, used
-        self.score, self.nonkw, self.keywords, self.cooccur = score, nonkw, keywords, cooccur
+    def __init__(self, actions, ser, grammar, parent, state, used, score, nonkw, keywords,
+                 cooccur):
+        self.actions, self.ser, self.grammar, self.parent = actions, ser, grammar, parent
+        self.state, self.used, self.score, self.nonkw = state, used, score, nonkw
+        self.keywords, self.cooccur = keywords, cooccur
 
 
 class _Group:
@@ -413,13 +425,15 @@ class _Search:
     handled one group at a time."""
 
     def __init__(self, example: Example, table: Table, theta: ParamVector,
-                 lexicon: Lexicon, config: SearchConfig, prev_answer: AnswerSet | None):
+                 lexicon: Lexicon, config: SearchConfig, prev_answer: AnswerSet | None,
+                 keep: int | None = None):
         """Candidate preparation: what neither theta nor the question
         changes comes from `_prepared`, and `group` adds the rest. A state
         keeps only its non-keyword surface mask over the table's
         vocabulary, whose tokens in the question are that & q_mask. The
         candidate set carries the search's `scorer.ActionFeaturizer` on to
-        the update."""
+        the update. The pool keeps the keep best completed programs, by
+        default beam_size."""
         self.config, self.table, self.gold = config, table, example.gold_answer
         tp, extra, layout = _prepared(table, tuple(example.question_numbers),
                                       example.position >= 1)
@@ -453,17 +467,20 @@ class _Search:
         # gold answer. The column stands for the head: FOLLOWUP's is None,
         # and SELECT and FPCELL of one column project the same rows alike.
         self.jaccards: dict[int | None, dict[int, float]] = {}
-        # (phase, base, rows) of a parent and a condition group -> (the
-        # answer rows of the parent's child by each action of the group,
-        # head column -> those children's partial rewards)
-        self.reward_lists: dict[tuple, tuple[list[int], dict]] = {}
-        # the beam_size best completed programs so far, serialization ->
-        # (parent, score, reward or None, critique); `candidates` builds them
+        # (phase, base, rows) of a parent and a group -> (the answer rows
+        # of the parent's child by each action of the group, head column ->
+        # those children's partial rewards, and the children's states when
+        # they were stepped, else None)
+        self.reward_lists: dict[tuple, tuple[list[int], dict, list | None]] = {}
+        # the keep best completed programs so far, serialization -> (parent,
+        # score, reward or None, critique); `candidates` builds them
+        self.keep = config.beam_size if keep is None else keep
         self.pool: dict[str, tuple] = {}
         self.best_keys: list = []  # their rank_keys, ascending
         self.ranked = 0
-        self.root = _Hyp((), "", self.ctx.start, 0, self.w_recall if self.e1 else 0.0,
-                         0, 0, 0)
+        start = self.ctx.start
+        self.root = _Hyp((), "", start[:3], None, start, 0,
+                         self.w_recall if self.e1 else 0.0, 0, 0, 0)
 
     def group(self, p: _Prep) -> _Group:
         """The group of p's actions in this search. Each action's dot
@@ -496,7 +513,7 @@ class _Search:
 
     def legal(self, hyp: _Hyp) -> list[_Group]:
         """The groups of the kinds that extend hyp, in grammar order."""
-        phase, cond_count = hyp.state[:2]
+        phase, cond_count = hyp.grammar[:2]
         config = self.config
         return [g for kind in P.legal_kinds(phase, config.max_conditions - cond_count,
                                             config.max_actions - len(hyp.actions))
@@ -517,25 +534,22 @@ class _Search:
         return reward
 
     def rewards(self, hyp: _Hyp, g: _Group, idx) -> list[float]:
-        """The partial rewards of hyp's children by g.actions[i], i in idx.
-        A partial reward depends only on the head column and the answer
-        rows, so each (column, rows) pair is scored once per search. A
-        condition, OR or Stop keeps the parent's head; the root's children
-        are heads, each the head of its own child, and are stepped. A Stop
-        child answers with the parent's rows, and an OR child, whose arm
-        has not run, with the parent's base. The rows a condition's child
-        keeps depend only on the parent's (phase, base, rows) and the
-        action: `programs.condition_rows` gives them for a whole group from
-        its row masks, and an extremum, whose rows depend on its scope, is
-        stepped. So parents that differ only in head or condition count
-        share one list of child rows, and those that share the head column
-        too one list of rewards."""
-        state = hyp.state
+        """The partial rewards of hyp's children by g.actions[i], i in idx,
+        which read hyp's rows. A partial reward depends only on the head
+        column and the answer rows, so each (column, rows) pair is scored
+        once per search. A Stop child answers with the parent's rows, and
+        an OR child, whose arm has not run, with the parent's base. The
+        rows of any other child depend only on the parent's (phase, base,
+        rows) and the action: `programs.condition_rows` gives them for a
+        whole group of conditions from its row masks, and the root's heads
+        and each extremum, whose rows depend on its scope, are stepped;
+        `make_child` takes a kept child's rows from those steps. So parents that differ
+        only in head or condition count share one list of child rows, and
+        those that share the head column too one list of rewards. A
+        condition keeps the parent's head; the root's children are heads,
+        each the head of its own child."""
+        state = hyp.state or self.resolve(hyp)
         phase, _, head, base, rows = state
-        if head is None:
-            ctx = self.ctx
-            return [self.jaccard(a, P.answer_rows(P.step(ctx, state, a)))
-                    for a in map(g.actions.__getitem__, idx)]
         if g is self.stop:
             return [self.jaccard(head, rows)]
         if g is self.or_:
@@ -543,13 +557,17 @@ class _Search:
         key = (phase, base, rows, g)
         lists = self.reward_lists.get(key)
         if lists is None:
+            states = None
             if g.masks is not None:
                 answers = P.condition_rows(phase, base, rows, g.masks)
             else:
                 ctx = self.ctx
-                answers = [P.answer_rows(P.step(ctx, state, a)) for a in g.actions]
-            lists = self.reward_lists[key] = (answers, {})
-        answers, by_column = lists
+                states = [P.step(ctx, state, a) for a in g.actions]
+                answers = list(map(P.answer_rows, states))
+            lists = self.reward_lists[key] = (answers, {}, states)
+        answers, by_column, _ = lists
+        if head is None:
+            return [self.jaccard(g.actions[i], answers[i]) for i in idx]
         out = by_column.get(head.column)
         if out is None:
             memo = self.jaccards.setdefault(head.column, {})
@@ -740,7 +758,7 @@ class _Search:
 
     def serialize(self, hyp: _Hyp, g: _Group, i: int) -> str:
         """The serialization of hyp's child by g.actions[i]."""
-        after_or = hyp.state[0] == "or"
+        after_or = hyp.grammar[0] == "or"
         tokens = g.tokens[after_or]
         tok = tokens[i]
         if tok is None:
@@ -751,23 +769,43 @@ class _Search:
 
     def make_child(self, hyp: _Hyp, g: _Group, i: int, score: float, ser: str) -> _Hyp:
         """hyp's child by g.actions[i], with serialization ser: its token
-        masks and execution state, derived from the parent and the action."""
+        masks, and the grammar half of its execution state from
+        `programs.advance`. Its rows are not stepped here: they are the
+        rows `rewards` stepped for a parent with hyp's (phase, base, rows),
+        if it stepped g's children, and otherwise wait for `resolve`."""
         action = g.actions[i]
-        return _Hyp(hyp.actions + (action,), ser,
-                    P.step(self.ctx, hyp.state, action), hyp.used | g.bits[i], score,
-                    hyp.nonkw | g.surf_nonkw[i], hyp.keywords | g.keywords,
+        grammar, state = P.advance(*hyp.grammar, action), None
+        if g.masks is None and (parent := hyp.state) is not None:
+            lists = self.reward_lists.get((parent[0], parent[3], parent[4], g))
+            if lists is not None and lists[2] is not None:
+                state = grammar + lists[2][i][3:]
+        return _Hyp(hyp.actions + (action,), ser, grammar, hyp, state, hyp.used | g.bits[i],
+                    score, hyp.nonkw | g.surf_nonkw[i], hyp.keywords | g.keywords,
                     _cooccurrence(hyp, g))
 
+    def resolve(self, hyp: _Hyp) -> tuple:
+        """hyp's execution state. A child's is stepped by `programs.step`
+        from its parent's the first time something reads it, and kept, so
+        no state is stepped twice and one that nothing reads never is:
+        `rewards` reads each parent it rates at lambda != 0, and
+        `candidates` each returned program."""
+        state = hyp.state
+        if state is None:
+            state = hyp.state = P.step(self.ctx, self.resolve(hyp.parent), hyp.actions[-1])
+        return state
+
     def complete(self, hyp: _Hyp):
-        """Pool hyp's Stop child, unless it cannot be kept. The child's
-        score, critique and, at lambda != 0, reward are computed once, for
-        its key and its `Candidate`. The key reads the reward only at
-        lambda != 0, where it is the Jaccard of the parent's rows, from the
-        memo ranking fills. The serialization is built only for a value at
-        or below the worst key. A serialization names one program, so a
-        child whose serialization was pooled before has that key, and is
-        skipped."""
-        g, keys, n = self.stop, self.best_keys, self.config.beam_size
+        """Pool hyp's Stop child, unless it cannot be kept: the pool holds
+        the keep best keys so far, and a child above the keep-th is
+        dropped. The child's score, critique and, at lambda != 0, reward
+        are computed once, for its key and its `Candidate`. The key reads
+        the reward only at lambda != 0, where it is the Jaccard of the
+        parent's rows, from the memo ranking fills. The serialization is
+        built only for a value at or below the worst key. A serialization
+        names one program, so a child whose serialization was pooled before
+        has that key, and is skipped. The beam does not depend on the pool,
+        so a pool of keep holds the first keep programs of a full one."""
+        g, keys, n = self.stop, self.best_keys, self.keep
         score = self.child_scores(hyp, g, (0,))[0]
         reward = self.rewards(hyp, g, (0,))[0] if self.config.lambda_weight != 0.0 else None
         critique = _critique(hyp.nonkw | g.surf_nonkw[0], _cooccurrence(hyp, g), self.q_mask)
@@ -783,17 +821,19 @@ class _Search:
             del self.pool[keys.pop()[1]]
 
     def candidates(self) -> CandidateSet:
-        """One beam's worth of completed programs under the final ranking,
-        so shaping governs retention, not just order. Only these become
-        `Candidate`s: the child's state, its answer and, at lambda = 0,
-        its reward are made here."""
+        """The pooled programs under the final ranking, so shaping governs
+        retention, not just order: a beam's worth, or the keep best. Only
+        these become `Candidate`s: the child, its execution state, stepped
+        from its prefixes' as far as nothing stepped them yet, its answer
+        and, at lambda = 0, its reward are made here."""
         entries = []
         for _, ser in self.best_keys:
             hyp, score, reward, critique = self.pool[ser]
             child = self.make_child(hyp, self.stop, 0, score, ser)
+            state = self.resolve(child)
             if reward is None:
-                reward = self.jaccard(child.state[2], P.answer_rows(child.state))
-            answer = P.answer(self.ctx, child.state)
+                reward = self.jaccard(state[2], P.answer_rows(state))
+            answer = P.answer(self.ctx, state)
             entries.append(Candidate(P.ProgramState(child.actions, True), ser, score, reward,
                                      critique, exact_match(answer, self.gold), answer))
         return CandidateSet(entries, self.featurizer, self.ranked)
@@ -801,13 +841,20 @@ class _Search:
 
 def beam_search(example: Example, table: Table, theta: ParamVector,
                 lexicon: Lexicon | None, config: SearchConfig,
-                prev_answer: AnswerSet | None = None) -> CandidateSet:
+                prev_answer: AnswerSet | None = None, *, keep: int | None = None) -> CandidateSet:
     """The candidate set of one example: candidate preparation, then one
-    expand, rank and select per beam step until the beam is empty."""
+    expand, rank and select per beam step until the beam is empty. It holds
+    the keep best completed programs, by default beam_size: the beam does
+    not depend on keep, so the entries are the first keep of a full
+    pool's."""
     config.validate()
+    if keep is not None and (type(keep) is not int or not 1 <= keep <= config.beam_size):
+        raise ValueError(f"keep must be an int from 1 to beam_size ({config.beam_size}), "
+                         f"not {keep!r}")
     if example.position >= 1 and prev_answer is None:
         raise ValueError("prev_answer is required for follow-up positions")
-    search = _Search(example, table, theta, lexicon or EMPTY_LEXICON, config, prev_answer)
+    search = _Search(example, table, theta, lexicon or EMPTY_LEXICON, config, prev_answer,
+                     keep)
     beam = [search.root]
     for _ in range(config.max_actions):
         beam = search.select(*search.rank(search.expand(beam)))

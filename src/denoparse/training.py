@@ -243,7 +243,9 @@ def evaluate(sequences, tables: dict[str, Table], theta: ParamVector,
 
     Inference never sees the gold answer: ranking is score-only (the
     critique term joins it only under the model-shaping ablation), and
-    follow-up questions consume the previous *predicted* answer."""
+    follow-up questions consume the previous *predicted* answer. Only the
+    top program is read, so each search pools one completed program
+    (`keep=1`), which is the full pool's first."""
     if not sequences or not any(sequences):
         raise ValueError("no examples")
     eval_cfg = replace(search_config, lambda_weight=0.0,
@@ -254,7 +256,7 @@ def evaluate(sequences, tables: dict[str, Table], theta: ParamVector,
         for ex in seq:
             table = tables[ex.table_ref]
             prev_in = (prev if prev is not None else EMPTY_ANSWER) if ex.position >= 1 else None
-            K = beam_search(ex, table, theta, lexicon, eval_cfg, prev_in)
+            K = beam_search(ex, table, theta, lexicon, eval_cfg, prev_in, keep=1)
             if K:
                 top = K.entries[0]
                 pred, program_ser = top.answer, top.serialization

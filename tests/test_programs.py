@@ -512,7 +512,7 @@ def test_group_form_matches_step_and_the_oracle(case, data):
             state = P.step(ctx, state, a)
         phase, _, _, base, rows = state
         phases.add(phase)
-        hyp = search._Hyp(tuple(actions), "", state, 0, 0.0, 0, 0, 0)
+        hyp = search._Hyp(tuple(actions), "", state[:3], None, state, 0, 0.0, 0, 0, 0)
         for g in s.legal(hyp):
             children = [P.step(ctx, state, a) for a in g.actions]
             want = [P.answer_rows(c) for c in children]

@@ -530,9 +530,9 @@ def test_ranking_steps_each_parent_rows_and_action_once(monkeypatch):
     # children's rows, so ranking computes the child rows of each (phase,
     # base, rows) and group at most once per search: a condition group's
     # all at once through `P.condition_rows`, and each action of any other
-    # group through `P.step`; make_child steps again only to build a
-    # survivor or a completed program, and `step` applies
-    # `condition_rows` to the one action it steps
+    # group through `P.step`. `resolve` steps a state's own rows the first
+    # time they are read, ranking's parents included, and `step` applies
+    # `condition_rows` to the one action it steps, so neither counts
     ex, table, theta, prev = _followup_case()
     cfg = SearchConfig(beam_size=8, max_actions=5, lambda_weight=math.inf,
                        shaping_enabled=True)
@@ -543,7 +543,7 @@ def test_ranking_steps_each_parent_rows_and_action_once(monkeypatch):
 
     def ranking_call():
         frame = sys._getframe(2)
-        while frame is not None and frame.f_code.co_name not in ("make_child", "step"):
+        while frame is not None and frame.f_code.co_name not in ("make_child", "resolve", "step"):
             frame = frame.f_back
         return frame is None
 
@@ -643,3 +643,88 @@ def test_prepared_searches_match_cold_searches_and_the_eager_reference(club_tabl
         search._prepared.cache_clear()
         cold = beam_search(ex, table, theta, lex, cfg, prev_answer)
         assert (cold.entries, cold.ranked) == (K.entries, K.ranked), ex.question
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus_seed=st.integers(0, 49), index=st.integers(0, 15),
+       weight_seed=st.integers(0, 1 << 32),
+       grid=st.lists(st.sampled_from(_WEIGHT_GRID), min_size=1, unique=True),
+       lam=st.sampled_from((0.0, 0.5, math.inf)), shaping=st.booleans(),
+       beam=st.integers(1, 8))
+# every key tied but for its serialization
+@example(corpus_seed=0, index=0, weight_seed=0, grid=[0.0], lam=0.0, shaping=False, beam=8)
+@example(corpus_seed=1, index=2, weight_seed=0, grid=[0.0], lam=0.5, shaping=True, beam=3)
+def test_a_smaller_pool_keeps_the_first_programs_of_the_full_one(
+        corpus_seed, index, weight_seed, grid, lam, shaping, beam):
+    # the pool does not feed the beam, so a search that pools only the
+    # keep best completed programs returns the first keep entries of the
+    # full pool's, and ranks the same children; under tied keys the
+    # serialization decides which programs a small pool keeps
+    cases = _fuzz_cases(corpus_seed)
+    ex, table, prev, feats = cases[index % len(cases)]
+    rng = random.Random(weight_seed)
+    theta = ParamVector({f: rng.choice(grid) for f in feats})
+    cfg = SearchConfig(beam_size=beam, max_actions=4, max_conditions=2,
+                       lambda_weight=lam, shaping_enabled=shaping)
+    lex = default_lexicon()
+    full = beam_search(ex, table, theta, lex, cfg, prev)
+    for keep in sorted({1, min(2, beam), beam}):
+        got = beam_search(ex, table, theta, lex, cfg, prev, keep=keep)
+        assert got.entries == full.entries[:keep], keep
+        assert got.ranked == full.ranked, keep
+
+
+def test_keep_outside_one_to_beam_size_is_refused():
+    ex, table, theta, prev = _followup_case()
+    cfg = SearchConfig(beam_size=4, max_actions=4)
+    for keep in (0, cfg.beam_size + 1, 1.0, "1", True):
+        with pytest.raises(ValueError, match="keep must be an int from 1 to beam_size"):
+            beam_search(ex, table, theta, None, cfg, prev, keep=keep)
+    with pytest.raises(TypeError):
+        beam_search(ex, table, theta, None, cfg, prev, 1)  # keep is keyword-only
+
+
+def test_states_are_stepped_once_and_only_when_read(monkeypatch):
+    # a child takes its phase, condition count and head from
+    # `P.advance`, and its rows are stepped from its parent's the first
+    # time something reads them: ranking at lambda != 0, which reads every
+    # parent it rates, and the candidates. So no state is stepped twice by
+    # one action, and at lambda = 0 only the returned programs' prefixes
+    # are stepped, each once. Two parents whose states are equal are two
+    # states, so a step is named by its parent state's identity; the spy
+    # keeps each state it sees, so no id is reused within a search
+    cases = [(ex, table, prev) for seed in (0, 3, 7) for ex, table, prev, _ in _fuzz_cases(seed)]
+    followup = _followup_case()
+    cases.append((followup[0], followup[1], followup[3]))
+    assert {ex.position for ex, _, _ in cases} >= {0, 1, 2}
+    theta = followup[2]
+    lex = default_lexicon()
+    steps, seen = [], []
+    step = P.step
+
+    def spy(ctx, state, action):
+        seen.append(state)
+        steps.append((id(state), action))
+        return step(ctx, state, action)
+
+    monkeypatch.setattr(P, "step", spy)
+    for ex, table, prev in cases:
+        for lam, shaping, keep in ((0.0, False, 1), (0.0, True, 1), (0.0, False, None),
+                                   (0.5, True, None), (math.inf, True, None),
+                                   (math.inf, False, 1)):
+            cfg = SearchConfig(beam_size=6, max_actions=5, max_conditions=2,
+                               lambda_weight=lam, shaping_enabled=shaping)
+            steps.clear()
+            seen.clear()
+            got = beam_search(ex, table, theta, lex, cfg, prev, keep=keep)
+            assert got
+            where = (ex.sequence_id, ex.position, lam, shaping, keep)
+            assert len(steps) == len(set(steps)), where
+            if lam == 0.0:
+                prefixes = {c.program.actions[:n] for c in got
+                            for n in range(1, len(c.program.actions) + 1)}
+                assert len(steps) == len(prefixes), where
+                if keep == 1:
+                    assert len(steps) <= len(got.entries[0].program.actions), where
+            for c in got:
+                assert c.answer == P.execute(c.program, table, prev), (where, c.serialization)

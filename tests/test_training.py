@@ -7,7 +7,7 @@ import pytest
 from denoparse.critique import default_lexicon
 from denoparse.scorer import ParamVector
 from denoparse.search import SearchConfig, beam_search
-from denoparse.tables import AnswerSet, Example
+from denoparse.tables import AnswerSet, Example, exact_match
 from denoparse.training import (EpochStats, TrainConfig, TrainHistory, TrainingError,
                                 evaluate, run_report, split_sequences, spurious_audit,
                                 stability, train, _initial_theta)
@@ -170,6 +170,51 @@ def test_evaluate_never_ranks_with_reward():
     K_a = beam_search(ex_a, table, ParamVector(), None, eval_cfg)
     K_b = beam_search(ex_b, table, ParamVector(), None, eval_cfg)
     assert [c.serialization for c in K_a] == [c.serialization for c in K_b]
+
+
+def test_evaluate_predicts_the_top_program_of_a_full_pool():
+    # evaluate pools one completed program per search; its predictions must
+    # be those of full-pool searches, each taking entries[0] and passing
+    # its *predicted* answer on to the next question of the sequence. A
+    # question on a table with no columns has no candidates: it predicts
+    # the empty answer, which the next question then takes
+    from dataclasses import replace
+    from denoparse.synth import SynthConfig, generate_corpus
+    from denoparse.tables import EMPTY_ANSWER, Table
+    corpus = generate_corpus(SynthConfig(sequences=6, seed=2))
+    tables = dict(corpus.tables, blank=Table("blank", (), ()))
+    sequences = [list(seq) for seq in corpus.sequences]
+    seq = max(sequences, key=len)
+    assert len(seq) >= 3
+    seq[1] = replace(seq[1], table_ref="blank")
+    theta = ParamVector({"recall": -1.0, "act=SELECT": 0.5, "act=EQ": -0.1,
+                         "act=FOLLOWUP": 0.4, "act=FPCELL": 0.2})
+    cfg = SearchConfig(beam_size=6, max_actions=4, max_conditions=2)
+    lex = default_lexicon()
+    for model_shaping in (False, True):
+        preds = []
+        acc = evaluate(sequences, tables, theta, cfg, lex, model_shaping=model_shaping,
+                       predictions=preds)
+        eval_cfg = replace(cfg, lambda_weight=0.0, shaping_enabled=model_shaping)
+        want, empty = [], 0
+        for s in sequences:
+            prev = None
+            for ex in s:
+                prev_in = (prev if prev is not None else EMPTY_ANSWER) if ex.position else None
+                K = beam_search(ex, tables[ex.table_ref], theta, lex, eval_cfg, prev_in)
+                top = K.entries[0] if K else None
+                empty += top is None
+                pred = top.answer if top else EMPTY_ANSWER
+                want.append({"sequence_id": ex.sequence_id, "position": ex.position,
+                             "program": top.serialization if top else None,
+                             "predicted": sorted(pred.values),
+                             "gold": sorted(ex.gold_answer.values),
+                             "correct": bool(exact_match(pred, ex.gold_answer))})
+                prev = pred
+        assert empty == 1
+        assert {p["position"] for p in want} >= {0, 1, 2}
+        assert preds == want
+        assert acc == sum(p["correct"] for p in want) / len(want)
 
 
 def test_skip_counting_without_compatible_candidates():
