@@ -25,11 +25,12 @@ answer's `frozenset`s. A condition that is not an extremum keeps a fixed
 mask of the table's rows, which `step` reads from its ExecContext; the
 rule that applies a condition's mask to a state is `condition_rows`, which
 `step` calls for one action and the search, rating children by reward,
-for a whole kind of conditions at once, with masks it prepares once per
-table. `advance` is the grammar half of `step`: the phase, condition count
-and head after an action, which need no rows. The search takes each child's
-from it, steps a child's rows only the first time they are read, and steps
-the extrema and heads it rates.
+for all of a state's conditions at once, with masks it prepares once per
+table: an extremum's is the first of its column's per-value masks that
+meets the clause's scope. `advance` is the grammar half of `step`: the
+phase, condition count and head after an action, which need no rows. The
+search takes each child's from it, steps a child's rows only the first
+time they are read, and steps the heads it rates.
 """
 from __future__ import annotations
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .programs import ProgramState, program_surface_tokens
+from .programs import ProgramState, action_surface_tokens
 from .tables import Table
 from .text import tokenize
 
@@ -63,6 +63,8 @@ class ActionFeaturizer:
     kind x nearby-token conjunctions. A column's flags and question
     positions, a value's, and the nearby tokens of an anchor tuple are each
     computed once, on first use, and shared by every action that has them.
+    `featurize` keeps each action's ids and surface tokens the first time
+    it builds them, so the programs of one candidate set share them.
     """
 
     def __init__(self, question_tokens, table: Table):
@@ -78,6 +80,7 @@ class ActionFeaturizer:
         self._columns: dict[int, tuple[list[str], tuple[int, ...]]] = {}
         self._values: dict[str, tuple[list[str], tuple[int, ...]]] = {}
         self._near: dict[tuple[int, ...], list[str]] = {}
+        self._actions: dict = {}  # action -> (ids, surface tokens)
 
     def kind_ids(self, kind: str) -> list[str]:
         ids = self._kinds.get(kind)
@@ -165,14 +168,19 @@ class ActionFeaturizer:
         return self.kind_ids(action.kind) + self.entity_ids(action)
 
     def featurize(self, state: ProgramState) -> FeatureVector:
-        """The program's features: its actions' ids summed, then recall."""
+        """The program's features: its actions' ids summed, then recall,
+        the share of e1 that no action's surface tokens cover."""
         feats: dict[str, float] = {}
+        e2: set[str] = set()
         for a in state.actions:
-            for fid in self.ids(a):
+            parts = self._actions.get(a)
+            if parts is None:
+                parts = self._actions[a] = (self.ids(a), action_surface_tokens(a, self.table))
+            for fid in parts[0]:
                 feats[fid] = feats.get(fid, 0.0) + 1.0
+            e2 |= parts[1]
         e1 = self.e1
         if e1:
-            e2 = program_surface_tokens(state, self.table)
             uncovered = len(e1 - e2) / len(e1)
             if uncovered:
                 feats[RECALL_FEATURE] = uncovered

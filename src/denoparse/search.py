@@ -24,19 +24,24 @@ and keeps its parent; its rows are stepped by `programs.step` over one
 `programs.ExecContext` per search from its parent's the first time something
 reads them, and kept. Rating children by partial reward at lambda != 0
 reads each parent it rates, and the candidates read each returned program,
-so no state is stepped twice and one that nothing reads never is. To rate a
-parent's children, the search takes the rows of a whole group of
-conditions at once from `programs.condition_rows`, the rule `step`
-applies, and steps only the root's heads and the extrema, whose rows
-depend on their scope; a kept child of such a step takes its rows. One `_Search` holds a
-search's state; `beam_search` drives its phases.
+so no state is stepped twice and one that nothing reads never is. Each
+kind of the grammar stands for one group of actions, and CONDITION for
+every condition, a segment per kind. To rate a parent's children, the
+search takes the rows of all its conditions in one pass of
+`programs.condition_rows`, the rule `step` applies: a fixed condition's
+mask is prepared per table, and an extremum's is the first of its
+column's per-value masks, sorted by value, that meets the clause's scope.
+It steps only the root's heads, and a kept head takes its rows from those
+steps. One `_Search` holds a search's state; `beam_search` drives its
+phases.
 
 Candidate preparation keeps what depends on neither theta nor the question
 in `_prepared`, an LRU of 128 (table, question numbers, follow-ups allowed)
-keys whose groups are shared per table where question numbers cannot
-change them: each kind's actions, condition bits, token masks over the
-table's vocabulary and, for a condition that is not an extremum, the mask
-of the table's rows it keeps, which `step` reads too. An action's
+keys whose per-kind preparations are shared per table where question
+numbers cannot change them: each kind's actions, token masks over the
+table's vocabulary and each condition's masks: a fixed condition's is the
+mask of the table's rows it keeps, which `step` reads too, and an
+extremum's those of its column's rows per distinct value. An action's
 features are its kind's, then its column's, then its value's and those
 near its anchor, and a value with no token in the question adds none, so
 each search sums theta over one (kind, column) part per kind and column
@@ -47,11 +52,11 @@ dot product bit for bit. Only the pooled programs become `Candidate`s.
 Only children that can reach the beam get a rank value. At lambda =
 infinity a child below the beam_size-th best reward cannot. At finite
 lambda each action has a bound that does not depend on the parent: its
-dot product plus the most the recall term can add. Each group's actions
+dot product plus the most the recall term can add. Each segment's actions
 are sorted by it once per search; when shaping is on at eta > 0 they are
 first bucketed by their surface tokens' counts in and outside the
 question, which with the parent's counts bound the child's critique.
-Ranking scans the (parent, group) pairs best parent first, scoring only
+Ranking scans the (parent, segment) pairs best parent first, scoring only
 the prefix of each bucket whose optimistic key (parent score + bound +
 lambda * the pair's best reward + the critique bound) reaches the
 beam_size-th best key so far. The bound and the score add in different
@@ -167,39 +172,52 @@ class _Hyp:
 
 
 class _Group:
-    """The prepared actions of one kind, as parallel lists: the actions'
+    """The actions a kind of the grammar stands for in one search: one
+    kind's, or for CONDITION every condition kind's, with a `_Segment` per
+    kind in grammar order. They come as parallel lists: the actions'
     feature dot products, surface masks (non-keyword, and in the question's
-    table tokens), condition bits and row masks, with the kind's keyword
-    mask and co-occurrence weights once. `tokens` holds each action's
-    serialization tokens [not after OR, after OR], joined the first time
-    one is needed. The actions, bits, non-keyword masks, row masks and
-    keyword mask are a `_Prep`'s, shared by the searches on the table."""
-    __slots__ = ("actions", "dots", "surf_nonkw", "surf_e1", "bits", "all_bits",
-                 "masks", "keywords", "kw_weights", "tokens", "bound_order")
+    table tokens) and `seg_of`, each action's segment. A search that rates
+    children by reward takes `masks`, the fixed conditions' row masks, and
+    `extrema`, the extrema's value masks, from the `_Prep`s. A condition
+    used by a parent is the bit of its index in the parent's `used`;
+    `all_bits` has a bit per action of the condition group, and is 0 for
+    any other. `tokens` holds each action's serialization tokens [not
+    after OR, after OR], joined the first time one is needed, and
+    `bound_order` the segments' bound orders (see `_Search.bounds`)."""
+    __slots__ = ("actions", "dots", "surf_nonkw", "surf_e1", "seg_of", "all_bits", "masks",
+                 "extrema", "segs", "tokens", "bound_order")
+
+
+class _Segment:
+    """The actions of one kind in a group, its actions[start:stop], with
+    the mask of their bits in `_Group.all_bits` and the kind's keyword
+    mask and co-occurrence weights."""
+    __slots__ = ("start", "stop", "bits", "keywords", "kw_weights")
 
 
 class _Prep:
-    """What a group's preparation takes from the table alone, as tuples:
-    the actions of one kind in preparation order, their condition bits and
-    non-keyword surface masks over the table's token vocabulary, the
-    masks of their values' tokens (None for a kind without a value), and
-    the kind's keyword mask. The actions of one column are adjacent;
-    `runs` holds (first action, count) per column. `masks` holds the
-    masks of the table's rows the actions satisfy, for a condition that
-    is not an extremum, from the first search that rates the group's
-    children by reward; it is None until then, and for any other kind."""
-    __slots__ = ("actions", "bits", "all_bits", "surf_nonkw", "val_masks", "masks", "runs",
-                 "keywords")
+    """What a kind's preparation takes from the table alone, as tuples:
+    the actions of one kind in preparation order, their non-keyword
+    surface masks over the table's token vocabulary, the masks of their
+    values' tokens (None for a kind without a value), and the kind's
+    keyword mask. The actions of one column are adjacent; `runs` holds
+    (first action, count) per column. `masks` holds each condition's
+    masks from the first search that rates its children by reward, and is
+    None until then and for any other kind: a fixed condition's is the
+    mask of the table's rows it keeps, and an extremum's are the masks of
+    its column's rows per distinct numeric value, in the order it tries
+    them (largest value first for MAX, smallest first for MIN)."""
+    __slots__ = ("actions", "surf_nonkw", "val_masks", "masks", "runs", "keywords")
 
 
 class _TablePrep:
     """The preparation a table's searches share: the table's token
     vocabulary (token -> bit), the `_Prep` of every kind at no question
-    numbers, how many condition bits those use, and the row mask of each
-    condition that is not an extremum that a search has needed: the
-    `masks` of the _Preps made so far, and those `programs.step` matched
-    itself, as the searches' ExecContexts share it."""
-    __slots__ = ("vocab", "groups", "n_bits", "masks", "__weakref__")
+    numbers, and the row mask of each fixed condition that a search has
+    needed: the `masks` of the _Preps made so far, and those
+    `programs.step` matched itself, as the searches' ExecContexts share
+    it."""
+    __slots__ = ("vocab", "groups", "masks", "__weakref__")
 
 
 # keyword masks use their own bits; they meet only each other
@@ -260,14 +278,10 @@ class _Masks:
             m = self._values[value] = self.mask(tokenize(value))
         return m
 
-    def prep(self, actions: list[P.Action], bit_indices=None) -> _Prep:
-        """The _Prep of actions, all of one kind. A condition takes the bit
-        of its index in bit_indices; other kinds (no bit_indices) take 0."""
+    def prep(self, actions: list[P.Action]) -> _Prep:
+        """The _Prep of actions, all of one kind."""
         p = _Prep()
         p.actions = tuple(actions)
-        p.bits = self.share(repeat(0, len(actions)) if bit_indices is None
-                            else map(_bit, bit_indices))
-        p.all_bits = sum(p.bits)
         p.masks = None
         p.surf_nonkw = self.share(map(self.surface, actions))
         p.val_masks = (None if actions[0].value is None
@@ -285,14 +299,18 @@ class _Masks:
 _FIXED_KINDS = (P.EQ, P.NEQ, P.GT, P.LT)  # the conditions whose rows are fixed
 
 
-def _row_masks(table: Table, kind: str, actions) -> list[int]:
-    """The mask of the table's rows that satisfy each of actions,
-    conditions of one kind that is not an extremum, and so of rows that
-    depend on the table alone: what `programs.match_rows` gives over every
-    row. Per column, EQ and NEQ read a map from each cell to the rows of
-    its normalized value, and GT and LT bisect the column's numeric cells,
-    in ascending order, for the rows below or above the value."""
-    out: list[int] = []
+def _row_masks(table: Table, kind: str, actions) -> list:
+    """The `_Prep.masks` of actions, conditions of one kind. A fixed
+    condition's is the mask of the table's rows that satisfy it, what
+    `programs.match_rows` gives over every row: per column, EQ and NEQ
+    read a map from each cell to the rows of its normalized value, and GT
+    and LT bisect the column's numeric cells, in ascending order, for the
+    rows below or above the value. An extremum's are the masks of the
+    rows of each distinct numeric value of its column, largest first for
+    MAX and smallest first for MIN: within a scope, the first of them
+    that meets it holds the extremum, ties included, among numeric cells
+    only, as `match_rows` picks it."""
+    out: list = []
     flip = (1 << table.row_count) - 1 if kind == P.NEQ else 0
     for col, acts in groupby(actions, attrgetter("column")):
         cells = [row[col] for row in table.cells]
@@ -304,6 +322,13 @@ def _row_masks(table: Table, kind: str, actions) -> list[int]:
             out += [flip ^ rows_of[a.value] for a in acts]
             continue
         numeric = sorted((c.numeric, r) for r, c in enumerate(cells) if c.numeric is not None)
+        if kind == P.MAX or kind == P.MIN:
+            by_value: dict[float, int] = {}
+            for v, r in numeric:
+                by_value[v] = by_value.get(v, 0) | _bit(r)
+            ascending = tuple(by_value.values())
+            out += [ascending[::-1] if kind == P.MAX else ascending for _ in acts]
+            continue
         values, below = [v for v, _ in numeric], [0]  # below[i]: the rows of values[:i]
         for _, r in numeric:
             below.append(below[-1] | _bit(r))
@@ -330,11 +355,10 @@ def _table_prep(table: Table) -> _TablePrep:
             tp.groups[kind] = masks.prep(acts)
     conditions = P.condition_actions(table)
     for kind in P.CONDITION_KINDS:
-        if idx := [i for i, a in enumerate(conditions) if a.kind == kind]:
-            tp.groups[kind] = masks.prep([conditions[i] for i in idx], idx)
+        if acts := [a for a in conditions if a.kind == kind]:
+            tp.groups[kind] = masks.prep(acts)
     for kind in (P.OR, P.STOP):
         tp.groups[kind] = masks.prep([P.Action(kind)])
-    tp.n_bits = len(conditions)
     tp.masks = {}
     return tp
 
@@ -347,11 +371,11 @@ _TABLE_PREPS: "weakref.WeakValueDictionary[Table, _TablePrep]" = weakref.WeakVal
 def _prepared(table: Table, question_numbers: tuple[str, ...], followups: bool) -> tuple:
     """(table prep, extra vocabulary, layout) of the searches on table
     whose question has these numbers, at a position that allows
-    follow-ups or not. The layout maps each kind of the grammar to its
-    groups' _Preps, in order; CONDITION stands for one group per condition
-    kind. The GT and LT groups are the table's unless the question's
-    numbers add values to them; then they are built here, with bits after
-    the table's and any new value token in the extra vocabulary."""
+    follow-ups or not. The layout maps each kind of the grammar to the
+    _Preps of its group, in order: CONDITION's are those of every
+    condition kind. The GT and LT preps are the table's unless the
+    question's numbers add values to them; then they are built here, with
+    any new value token in the extra vocabulary."""
     tp = _TABLE_PREPS.get(table)
     if tp is None:
         tp = _TABLE_PREPS[table] = _table_prep(table)
@@ -363,12 +387,12 @@ def _prepared(table: Table, question_numbers: tuple[str, ...], followups: bool) 
                   for v in P.comparison_values(table, a.column, question_numbers)]
         if len(values) > len(groups[P.GT].actions):
             # the table's comparisons keep their actions and masks
-            masks, n = _Masks(tp.vocab, extra, table), tp.n_bits
+            masks = _Masks(tp.vocab, extra, table)
             masks.seed(groups[P.GT])
             known = {a: a for k in (P.GT, P.LT) for a in groups[k].actions}
-            for kind, first in ((P.GT, n), (P.LT, n + len(values))):
+            for kind in (P.GT, P.LT):
                 acts = [known.get(a, a) for a in (P.Action(kind, c, v) for c, v in values)]
-                groups[kind] = masks.prep(acts, range(first, first + len(values)))
+                groups[kind] = masks.prep(acts)
     heads = P.HEAD_KINDS if followups else (P.SELECT,)
     layout = [(k, (groups[k],)) for k in heads if k in groups]
     layout.append((P.CONDITION, tuple(groups[k] for k in P.CONDITION_KINDS if k in groups)))
@@ -410,11 +434,22 @@ def _fraction_bound(a: int, aq: int, sq: int, sn: int) -> float:
     return (aq + sq) / d if d else 0.0
 
 
-def _cooccurrence(hyp: _Hyp, g: _Group) -> int:
-    """The co-occurrence weight of hyp's children by the actions of g."""
-    if g.kw_weights:
-        return hyp.cooccur + sum(w for b, w in g.kw_weights if not hyp.keywords & b)
+def _cooccurrence(hyp: _Hyp, seg: _Segment) -> int:
+    """The co-occurrence weight of hyp's children by the actions of seg."""
+    if seg.kw_weights:
+        return hyp.cooccur + sum(w for b, w in seg.kw_weights if not hyp.keywords & b)
     return hyp.cooccur
+
+
+def _without(seq, used: int) -> list:
+    """The items of seq but those at the indices of used's bits."""
+    out, start = [], 0
+    while used:
+        i = (used & -used).bit_length() - 1
+        out += seq[start:i]
+        start, used = i + 1, used & (used - 1)
+    out += seq[start:]
+    return out
 
 
 class _Search:
@@ -458,10 +493,10 @@ class _Search:
         for t in self.e1:
             self.e1_mask |= vocab[t]
         self.weights, self.kind_sums = theta.weights, {}
-        # the groups each kind of the grammar stands for, in order; CONDITION
-        # stands for one group per condition kind
+        # the group each kind of the grammar stands for, in a list; CONDITION's
+        # holds every condition
         self.groups_of: dict[str, list[_Group]] = {
-            kind: [self.group(p) for p in preps] for kind, preps in layout}
+            kind: [self.group(preps)] for kind, preps in layout if preps}
         self.stop, self.or_ = self.groups_of[P.STOP][0], self.groups_of[P.OR][0]
         # head column -> answer rows -> Jaccard of that answer against the
         # gold answer. The column stands for the head: FOLLOWUP's is None,
@@ -469,8 +504,8 @@ class _Search:
         self.jaccards: dict[int | None, dict[int, float]] = {}
         # (phase, base, rows) of a parent and a group -> (the answer rows
         # of the parent's child by each action of the group, head column ->
-        # those children's partial rewards, and the children's states when
-        # they were stepped, else None)
+        # those children's partial rewards, and the children's states if
+        # they are the root's heads, else None)
         self.reward_lists: dict[tuple, tuple[list[int], dict, list | None]] = {}
         # the keep best completed programs so far, serialization -> (parent,
         # score, reward or None, critique); `candidates` builds them
@@ -482,32 +517,49 @@ class _Search:
         self.root = _Hyp((), "", start[:3], None, start, 0,
                          self.w_recall if self.e1 else 0.0, 0, 0, 0)
 
-    def group(self, p: _Prep) -> _Group:
-        """The group of p's actions in this search. Each action's dot
-        product is its (kind, column) part's sum, the kind's sum continued
-        over `column_ids`, unless its value shares a token with the
-        question; only such an action gets `action_dot`. A search that
-        rates children by reward makes p's row masks if no search did, and
-        shares them with `programs.step` through the table's masks."""
+    def group(self, preps) -> _Group:
+        """The group of preps' actions in this search, a segment per prep.
+        Each action's dot product is its (kind, column) part's sum, the
+        kind's sum continued over `column_ids`, unless its value shares a
+        token with the question; only such an action gets `action_dot`. A
+        search that rates children by reward makes a condition prep's
+        masks if no search did, and shares a fixed condition's with
+        `programs.step` through the table's masks."""
         g = _Group()
-        featurizer, weights, actions = self.featurizer, self.weights, p.actions
-        kind = actions[0].kind
-        if p.masks is None and kind in _FIXED_KINDS and self.config.lambda_weight != 0.0:
-            p.masks = tuple(_row_masks(self.table, kind, actions))
-            self.ctx.masks.update(zip(actions, p.masks))
-        g.actions, g.bits, g.all_bits, g.masks = actions, p.bits, p.all_bits, p.masks
-        g.surf_nonkw, g.keywords = p.surf_nonkw, p.keywords
-        start = _kind_sum(featurizer, weights, self.kind_sums, kind)
-        sums = [weight_sum(weights, zip(featurizer.column_ids(actions[i]), repeat(1.0)), start)
-                for i, _ in p.runs]
-        g.dots = list(chain.from_iterable(map(repeat, sums, [n for _, n in p.runs])))
-        if p.val_masks is not None:
-            for i in compress(range(len(actions)), map(self.q_mask.__and__, p.val_masks)):
-                g.dots[i] = action_dot(featurizer, weights, self.kind_sums, actions[i])
-        g.surf_e1 = list(map(self.e1_mask.__and__, p.surf_nonkw))
-        g.kw_weights = tuple((_KEYWORD_BITS[x], self.kw_weight[x])
-                             for x in P.action_keywords(actions[0]) if x in self.kw_weight)
-        g.tokens = ([None] * len(actions), [None] * len(actions))
+        featurizer, weights, kind_sums = self.featurizer, self.weights, self.kind_sums
+        rate = self.config.lambda_weight != 0.0
+        g.actions, g.surf_nonkw, g.dots, g.seg_of, g.segs = [], [], [], [], []
+        g.masks, g.extrema, g.all_bits = [], [], 0
+        for p in preps:
+            actions = p.actions
+            kind = actions[0].kind
+            if rate and kind in P.CONDITION_KINDS:
+                if p.masks is None:
+                    p.masks = tuple(_row_masks(self.table, kind, actions))
+                    if kind in _FIXED_KINDS:
+                        self.ctx.masks.update(zip(actions, p.masks))
+                (g.masks if kind in _FIXED_KINDS else g.extrema).extend(p.masks)
+            g.seg_of += repeat(len(g.segs), len(actions))
+            g.actions += actions
+            g.surf_nonkw += p.surf_nonkw
+            seg = _Segment()
+            seg.start = len(g.dots)
+            start = _kind_sum(featurizer, weights, kind_sums, kind)
+            sums = [weight_sum(weights, zip(featurizer.column_ids(actions[i]), repeat(1.0)), start)
+                    for i, _ in p.runs]
+            g.dots += chain.from_iterable(map(repeat, sums, [n for _, n in p.runs]))
+            if p.val_masks is not None:
+                for i in compress(range(len(actions)), map(self.q_mask.__and__, p.val_masks)):
+                    g.dots[seg.start + i] = action_dot(featurizer, weights, kind_sums, actions[i])
+            seg.stop, seg.keywords = len(g.dots), p.keywords
+            seg.bits = (1 << seg.stop) - (1 << seg.start) if kind in P.CONDITION_KINDS else 0
+            g.all_bits |= seg.bits
+            seg.kw_weights = tuple((_KEYWORD_BITS[x], self.kw_weight[x])
+                                   for x in P.action_keywords(actions[0]) if x in self.kw_weight)
+            g.segs.append(seg)
+        n = len(g.dots)
+        g.surf_e1 = list(map(self.e1_mask.__and__, g.surf_nonkw))
+        g.tokens = ([None] * n, [None] * n)
         g.bound_order = None
         return g
 
@@ -533,21 +585,23 @@ class _Search:
             reward = memo[rows] = inter / union if union else 1.0
         return reward
 
-    def rewards(self, hyp: _Hyp, g: _Group, idx) -> list[float]:
-        """The partial rewards of hyp's children by g.actions[i], i in idx,
-        which read hyp's rows. A partial reward depends only on the head
-        column and the answer rows, so each (column, rows) pair is scored
-        once per search. A Stop child answers with the parent's rows, and
-        an OR child, whose arm has not run, with the parent's base. The
-        rows of any other child depend only on the parent's (phase, base,
-        rows) and the action: `programs.condition_rows` gives them for a
-        whole group of conditions from its row masks, and the root's heads
-        and each extremum, whose rows depend on its scope, are stepped;
-        `make_child` takes a kept child's rows from those steps. So parents that differ
-        only in head or condition count share one list of child rows, and
-        those that share the head column too one list of rewards. A
-        condition keeps the parent's head; the root's children are heads,
-        each the head of its own child."""
+    def rewards(self, hyp: _Hyp, g: _Group) -> list[float]:
+        """The partial rewards of hyp's children by each of g.actions, which
+        read hyp's rows. A partial reward depends only on the head column
+        and the answer rows, so each (column, rows) pair is scored once per
+        search. A Stop child answers with the parent's rows, and an OR
+        child, whose arm has not run, with the parent's base. The rows of a
+        condition child depend only on the parent's (phase, base, rows) and
+        the action, and one pass gives all of them: `programs.condition_rows`
+        over the fixed conditions' row masks and, for each extremum, the
+        first of its value masks that meets the clause's scope, whose rows
+        in the scope are `match_rows`'s. No condition is stepped; the
+        root's heads are, and `make_child` takes a kept head's state from
+        those steps. So parents that differ only in head or condition count
+        share one list of child rows, and those that share the head column
+        too one list of rewards, which callers must not change. A condition
+        keeps the parent's head; the root's children are heads, each the
+        head of its own child."""
         state = hyp.state or self.resolve(hyp)
         phase, _, head, base, rows = state
         if g is self.stop:
@@ -558,16 +612,18 @@ class _Search:
         lists = self.reward_lists.get(key)
         if lists is None:
             states = None
-            if g.masks is not None:
-                answers = P.condition_rows(phase, base, rows, g.masks)
-            else:
+            if head is None:
                 ctx = self.ctx
                 states = [P.step(ctx, state, a) for a in g.actions]
                 answers = list(map(P.answer_rows, states))
+            else:
+                scope = base if phase == "or" else rows
+                extrema = [next(filter(scope.__and__, ms), 0) for ms in g.extrema]
+                answers = P.condition_rows(phase, base, rows, chain(g.masks, extrema))
             lists = self.reward_lists[key] = (answers, {}, states)
         answers, by_column, _ = lists
         if head is None:
-            return [self.jaccard(g.actions[i], answers[i]) for i in idx]
+            return list(map(self.jaccard, g.actions, answers))
         out = by_column.get(head.column)
         if out is None:
             memo = self.jaccards.setdefault(head.column, {})
@@ -575,7 +631,7 @@ class _Search:
             for a in set(answers).difference(memo):
                 self.jaccard(head, a)
             out = by_column[head.column] = list(map(memo.__getitem__, answers))
-        return out if len(idx) == len(out) else [out[i] for i in idx]
+        return out
 
     def child_scores(self, hyp: _Hyp, g: _Group, idx) -> list[float]:
         """The scores of hyp's children by g.actions[i], i in idx: the
@@ -590,51 +646,50 @@ class _Search:
 
     def expand(self, beam: list[_Hyp]) -> list[tuple]:
         """Pass 1: each parent's legal incomplete children, one group at a
-        time, as (parent, group, indices, rewards); rewards is None when
-        lambda is 0. A parent's used conditions are dropped only from a
-        group that holds one. Completed children go to `complete`."""
+        time, as (parent, group, rewards): the rewards of its children by
+        every action of the group, or None when lambda is 0. Completed
+        children go to `complete`."""
         children = []
         use_reward, stop = self.config.lambda_weight != 0.0, self.stop
         for hyp in beam:
-            used = hyp.used
             for g in self.legal(hyp):
                 if g is stop:
                     self.complete(hyp)
-                    continue
-                idx = range(len(g.actions))
-                if used & g.all_bits:
-                    idx = [i for i in idx if not used & g.bits[i]]
-                children.append((hyp, g, idx, self.rewards(hyp, g, idx) if use_reward else None))
+                else:
+                    children.append((hyp, g, self.rewards(hyp, g) if use_reward else None))
         return children
 
-    def bounds(self, g: _Group) -> tuple:
-        """g's buckets and the most an action's score terms weigh, made the
-        first time the scan bounds a pair of g's. The bound b_i = dots[i] +
-        max(0, -w_recall) * popcount(surf_e1[i]) / |e1| is at least what
-        action i adds to any parent's score, since the question's table
-        tokens a child newly covers are among the action's own.
+    def bounds(self, g: _Group) -> list[tuple]:
+        """The buckets of each of g's segments and the most an action's
+        score terms weigh there, made the first time the scan bounds a pair
+        of g's. The bound b_i = dots[i] + max(0, -w_recall) *
+        popcount(surf_e1[i]) / |e1| is at least what action i adds to any
+        parent's score, since the question's table tokens a child newly
+        covers are among the action's own.
 
         A bucket is (sq, sn, its indices sorted by b_i largest first, their
-        negated bounds). When shaping is on at eta > 0, g's actions are
-        bucketed by the counts of their non-keyword surface mask S in the
-        question's mask Q and outside it, sq = |S & Q| and sn = |S - Q|,
-        which bound the critique of any parent's child (see `rank`); at
-        any other setting the critique term needs no bound per action, and
-        g is one bucket with sq = sn = 0."""
+        negated bounds). When shaping is on at eta > 0, a segment's actions
+        are bucketed by the counts of their non-keyword surface mask S in
+        the question's mask Q and outside it, sq = |S & Q| and sn = |S - Q|,
+        which bound the critique of any parent's child (see `rank`); at any
+        other setting the critique term needs no bound per action, and a
+        segment is one bucket with sq = sn = 0."""
         if g.bound_order is None:
             per_token = max(0.0, -self.w_recall) / len(self.e1) if self.e1 else 0.0
             b = [d + per_token * m.bit_count() for d, m in zip(g.dots, g.surf_e1)]
-            order = sorted(range(len(b)), key=b.__getitem__, reverse=True)
-            buckets = {(0, 0): order}
-            if self.config.shaping_enabled and self.config.eta > 0:
-                q_mask, surf, buckets = self.q_mask, g.surf_nonkw, {}
-                for i in order:
-                    s = surf[i]
-                    buckets.setdefault(((s & q_mask).bit_count(), (s & ~q_mask).bit_count()),
-                                       []).append(i)
-            g.bound_order = ([(sq, sn, idx, [-b[i] for i in idx])
-                              for (sq, sn), idx in buckets.items()],
-                             max(map(abs, g.dots)) + abs(self.w_recall))
+            q_mask, surf, g.bound_order = self.q_mask, g.surf_nonkw, []
+            for seg in g.segs:
+                order = sorted(range(seg.start, seg.stop), key=b.__getitem__, reverse=True)
+                buckets = {(0, 0): order}
+                if self.config.shaping_enabled and self.config.eta > 0:
+                    buckets = {}
+                    for i in order:
+                        s = surf[i]
+                        buckets.setdefault(((s & q_mask).bit_count(),
+                                            (s & ~q_mask).bit_count()), []).append(i)
+                g.bound_order.append(
+                    ([(sq, sn, idx, [-b[i] for i in idx]) for (sq, sn), idx in buckets.items()],
+                     max(map(abs, g.dots[seg.start:seg.stop])) + abs(self.w_recall)))
         return g.bound_order
 
     def rank(self, children: list[tuple]) -> tuple[list, list]:
@@ -642,98 +697,119 @@ class _Search:
         child in the running, in (parent, group, index) order. A rank value
         is `rank_key` without its serialization tie-break: the score from
         the action's dot product and the recall term, and the critique from
-        token bitmasks only when shaping puts it in the key.
-        `CandidateSet.ranked` counts the children given one.
+        token bitmasks only when shaping puts it in the key. A parent's
+        used conditions are dropped by index. `CandidateSet.ranked` counts
+        the children given one.
 
         At lambda = inf, with more than beam_size children, the floor is
         the beam_size-th largest reward: a child below it ranks after at
         least beam_size others, so it cannot survive. Only the children at
-        or above the floor (all of them, otherwise) are ranked.
+        or above the floor (all of them, otherwise) are ranked, a parent's
+        children by one group at once.
 
-        At finite lambda the (parent, group) pairs are scanned in beam
-        order, best parent first, keeping the beam_size best values seen.
-        A child's key is at most hyp.score + b_i + lambda * max(rewards)
-        + the critique bound. For eta > 0 that is eta * (fb + co), with co
-        the pair's co-occurrence weight and fb a bound on the child's
-        match fraction from four counts: the parent's non-keyword surface
-        mask A has a = |A| tokens, aq = |A & Q| in the question and an =
-        a - aq outside it, and the action's bucket gives sq and sn. The
-        child A | S adds x <= sq question tokens and y >= max(0, sn - an)
-        others, and (aq + x) / (a + x + y) grows with x and falls with y,
-        so the fraction is at most fb = (aq + sq) / (a + sq + max(0, sn -
-        an)), or 0 when that denominator is 0 (then A | S is empty).
-        Correctly rounded division and addition are monotone, so the float
-        critique is at most the float fb + co as well. For eta <= 0 the
-        bound is eta * co, the fraction being at least 0, and unshaped it
-        is 0. Each pair ranks only the prefix of each bucket whose
-        optimistic key reaches the beam_size-th best so far; a child below
-        it ranks after beam_size others. The bound adds in another order
-        than the score, so the prefix widens by 1e-9 times the sum of the
-        magnitudes of a key's terms, far above their rounding error, and a
-        child whose bound ties the cut is ranked."""
+        At finite lambda the (parent, segment) pairs are scanned in beam
+        order, best parent first, and a group's segments in order, keeping
+        the beam_size best values seen. A child's key is at most
+        hyp.score + b_i + lambda * the pair's best reward + the critique
+        bound. For eta > 0 that is eta * (fb + co), with co the pair's
+        co-occurrence weight and fb a bound on the child's match fraction
+        from four counts: the parent's non-keyword surface mask A has a =
+        |A| tokens, aq = |A & Q| in the question and an = a - aq outside
+        it, and the action's bucket gives sq and sn. The child A | S adds x
+        <= sq question tokens and y >= max(0, sn - an) others, and (aq + x)
+        / (a + x + y) grows with x and falls with y, so the fraction is at
+        most fb = (aq + sq) / (a + sq + max(0, sn - an)), or 0 when that
+        denominator is 0 (then A | S is empty). Correctly rounded division
+        and addition are monotone, so the float critique is at most the
+        float fb + co as well. For eta <= 0 the bound is eta * co, the
+        fraction being at least 0, and unshaped it is 0. Each pair ranks
+        only the prefix of each bucket whose optimistic key reaches the
+        beam_size-th best so far; a child below it ranks after beam_size
+        others. The bound adds in another order than the score, so the
+        prefix widens by 1e-9 times the sum of the magnitudes of a key's
+        terms, far above their rounding error, and a child whose bound ties
+        the cut is ranked."""
         n, lam = self.config.beam_size, self.config.lambda_weight
         shaping, eta = self.config.shaping_enabled, self.config.eta
         values: list = []
         pending: list = []
         if lam == math.inf:
+            pairs = []
+            for hyp, g, rw in children:
+                idx = range(len(rw))
+                if used := hyp.used & g.all_bits:
+                    idx, rw = _without(idx, used), _without(rw, used)
+                pairs.append((hyp, g, idx, rw))
             floor = None
-            if sum(len(c[2]) for c in children) > n:
-                floor = heapq.nlargest(n, chain.from_iterable(c[3] for c in children))[-1]
-            for hyp, g, idx, rw in children:
+            if sum(len(p[3]) for p in pairs) > n:
+                floor = heapq.nlargest(n, chain.from_iterable(p[3] for p in pairs))[-1]
+            for hyp, g, idx, rw in pairs:
                 if floor is not None:
                     if not rw or max(rw) < floor:
                         continue
-                    idx = [i for i, r in zip(idx, rw) if r >= floor]
-                    rw = [r for r in rw if r >= floor]
-                self.add_values(values, pending, hyp, g, idx, rw,
-                                _cooccurrence(hyp, g) if shaping else 0)
+                    keep = list(map(floor.__le__, rw))
+                    idx, rw = list(compress(idx, keep)), list(compress(rw, keep))
+                cos = None
+                if shaping:
+                    co = list(map(_cooccurrence, repeat(hyp), g.segs))
+                    cos = map(co.__getitem__, map(g.seg_of.__getitem__, idx))
+                self.add_values(values, pending, hyp, g, idx, rw, cos)
             return values, pending
         crit_weight = eta if shaping else 0.0
         split, q_mask = shaping and eta > 0, self.q_mask
         best: list = []  # the beam_size smallest values so far, ascending
-        for hyp, g, idx, rw in children:
-            if not idx:
-                continue
-            cooccur = _cooccurrence(hyp, g) if shaping else 0
-            if len(best) == n:
-                buckets, scale = self.bounds(g)
-                h_score = hyp.score
-                # a child can reach the beam only if hyp.score + b_i +
-                # extra + its critique bound >= -cut, less the margin
-                extra, size = (lam * max(rw), lam) if rw else (0.0, 0.0)
-                size += abs(h_score) + abs(best[-1]) + scale + abs(crit_weight) * (1 + cooccur)
-                base = h_score + extra + best[-1] + 1e-9 * size
-                if split:
-                    a, aq = hyp.nonkw.bit_count(), (hyp.nonkw & q_mask).bit_count()
-                order = []
-                for sq, sn, b_order, neg_bounds in buckets:
-                    frac = _fraction_bound(a, aq, sq, sn) if split else 0.0
-                    order += b_order[:bisect_right(neg_bounds,
-                                                   base + crit_weight * (frac + cooccur))]
-                if not order:
-                    continue
-                order.sort()
-                if hyp.used & g.all_bits:
-                    order = [i for i in order if not hyp.used & g.bits[i]]
-                if rw is not None:
-                    rw = list(map(dict(zip(idx, rw)).__getitem__, order))
-                idx = order
-            best += self.add_values(values, pending, hyp, g, idx, rw, cooccur)
-            best.sort()
-            del best[n:]
+        for hyp, g, rw in children:
+            used = hyp.used & g.all_bits
+            co = map(_cooccurrence, repeat(hyp), g.segs) if shaping else repeat(0)
+            for k, (seg, cooccur) in enumerate(zip(g.segs, co)):
+                if len(best) < n:
+                    idx = range(seg.start, seg.stop)
+                    if used & seg.bits:
+                        idx = [i for i in idx if not used >> i & 1]
+                else:
+                    extra = size = 0.0
+                    if rw is not None:
+                        legal = [rw[i] for i in range(seg.start, seg.stop) if not used >> i & 1]
+                        if not legal:
+                            continue
+                        extra, size = lam * max(legal), lam
+                    buckets, scale = self.bounds(g)[k]
+                    h_score = hyp.score
+                    # a child can reach the beam only if hyp.score + b_i +
+                    # extra + its critique bound >= -cut, less the margin
+                    size += abs(h_score) + abs(best[-1]) + scale + abs(crit_weight) * (1 + cooccur)
+                    base = h_score + extra + best[-1] + 1e-9 * size
+                    if split:
+                        a, aq = hyp.nonkw.bit_count(), (hyp.nonkw & q_mask).bit_count()
+                    order = []
+                    for sq, sn, b_order, neg_bounds in buckets:
+                        frac = _fraction_bound(a, aq, sq, sn) if split else 0.0
+                        order += b_order[:bisect_right(neg_bounds,
+                                                       base + crit_weight * (frac + cooccur))]
+                    if not order:
+                        continue
+                    order.sort()
+                    if used & seg.bits:
+                        order = [i for i in order if not used >> i & 1]
+                    idx = order
+                best += self.add_values(values, pending, hyp, g, idx,
+                                        None if rw is None else list(map(rw.__getitem__, idx)),
+                                        repeat(cooccur))
+                best.sort()
+                del best[n:]
         return values, pending
 
     def add_values(self, values: list, pending: list, hyp: _Hyp, g: _Group, idx, rw,
-                   cooccur: int) -> list:
+                   cos) -> list:
         """Append the rank values and (parent, group, index, score) of
         hyp's children by g.actions[i], i in idx, to values and pending,
-        given their rewards rw (None at lambda = 0) and the pair's
-        co-occurrence weight; return the new values."""
+        given their rewards rw (None at lambda = 0) and, when shaping,
+        their co-occurrence weights cos; return the new values."""
         scores = self.child_scores(hyp, g, idx)
         crits = repeat(0.0)
         if self.config.shaping_enabled:
             nonkw, surf, q_mask = hyp.nonkw, g.surf_nonkw, self.q_mask
-            crits = [_critique(nonkw | surf[i], cooccur, q_mask) for i in idx]
+            crits = [_critique(nonkw | surf[i], c, q_mask) for i, c in zip(idx, cos)]
         new = list(map(self.rank_value, repeat(0.0) if rw is None else rw, scores, crits))
         values += new
         pending += zip(repeat(hyp), repeat(g), idx, scores)
@@ -770,18 +846,19 @@ class _Search:
     def make_child(self, hyp: _Hyp, g: _Group, i: int, score: float, ser: str) -> _Hyp:
         """hyp's child by g.actions[i], with serialization ser: its token
         masks, and the grammar half of its execution state from
-        `programs.advance`. Its rows are not stepped here: they are the
-        rows `rewards` stepped for a parent with hyp's (phase, base, rows),
-        if it stepped g's children, and otherwise wait for `resolve`."""
-        action = g.actions[i]
+        `programs.advance`. Its rows are not stepped here: a head's are
+        those `rewards` stepped, if it rated the root's children, and any
+        other child's wait for `resolve`."""
+        action, seg = g.actions[i], g.segs[g.seg_of[i]]
         grammar, state = P.advance(*hyp.grammar, action), None
-        if g.masks is None and (parent := hyp.state) is not None:
-            lists = self.reward_lists.get((parent[0], parent[3], parent[4], g))
-            if lists is not None and lists[2] is not None:
+        if hyp is self.root:
+            root = hyp.state
+            lists = self.reward_lists.get((root[0], root[3], root[4], g))
+            if lists is not None:
                 state = grammar + lists[2][i][3:]
-        return _Hyp(hyp.actions + (action,), ser, grammar, hyp, state, hyp.used | g.bits[i],
-                    score, hyp.nonkw | g.surf_nonkw[i], hyp.keywords | g.keywords,
-                    _cooccurrence(hyp, g))
+        return _Hyp(hyp.actions + (action,), ser, grammar, hyp, state,
+                    hyp.used | (g.all_bits & 1 << i), score, hyp.nonkw | g.surf_nonkw[i],
+                    hyp.keywords | seg.keywords, _cooccurrence(hyp, seg))
 
     def resolve(self, hyp: _Hyp) -> tuple:
         """hyp's execution state. A child's is stepped by `programs.step`
@@ -807,8 +884,9 @@ class _Search:
         so a pool of keep holds the first keep programs of a full one."""
         g, keys, n = self.stop, self.best_keys, self.keep
         score = self.child_scores(hyp, g, (0,))[0]
-        reward = self.rewards(hyp, g, (0,))[0] if self.config.lambda_weight != 0.0 else None
-        critique = _critique(hyp.nonkw | g.surf_nonkw[0], _cooccurrence(hyp, g), self.q_mask)
+        reward = self.rewards(hyp, g)[0] if self.config.lambda_weight != 0.0 else None
+        critique = _critique(hyp.nonkw | g.surf_nonkw[0], _cooccurrence(hyp, g.segs[0]),
+                             self.q_mask)
         value = self.rank_value(reward or 0.0, score, critique)
         if len(keys) == n and value > keys[-1][0]:
             return

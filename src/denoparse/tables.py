@@ -201,12 +201,55 @@ QUESTION_FIELDS = ("id", "annotator", "position", "question", "table_file",
                    "answer_coordinates", "answer_text")
 
 
+def _number(node):
+    if not isinstance(node, ast.Constant) or type(node.value) not in (int, float, complex):
+        raise ValueError(f"malformed node or string: {node!r}")
+    return node.value
+
+
+def _signed(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        value = _number(node.operand)
+        return +value if isinstance(node.op, ast.UAdd) else -value
+    return _number(node)
+
+
+def _literal(node):
+    """The value of an expression node that `ast.literal_eval` accepts,
+    and its ValueError for any other. literal_eval's nested converters
+    close over each other, so each call leaves a reference cycle for the
+    collector; these are module functions and leave none."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Tuple):
+        return tuple(map(_literal, node.elts))
+    if isinstance(node, ast.List):
+        return list(map(_literal, node.elts))
+    if isinstance(node, ast.Set):
+        return set(map(_literal, node.elts))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "set" and node.args == node.keywords == []):
+        return set()
+    if isinstance(node, ast.Dict):  # a ** entry has the key None, which is refused
+        return dict(zip(map(_literal, node.keys), map(_literal, node.values)))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        left, right = _signed(node.left), _number(node.right)
+        if isinstance(left, (int, float)) and isinstance(right, complex):
+            return left + right if isinstance(node.op, ast.Add) else left - right
+    return _signed(node)
+
+
+def _parse_literal(field: str):
+    """`ast.literal_eval(field)` for a stripped field, without its cycle."""
+    return _literal(ast.parse(field, mode="eval").body)
+
+
 def _parse_coords(field: str, where: str) -> frozenset[tuple[int, int]] | None:
     field = field.strip()
     if not field:
         return None
     try:
-        items = ast.literal_eval(field)
+        items = _parse_literal(field)
     except (ValueError, SyntaxError, TypeError):
         raise IngestionError(f"{where}: unparseable answer_coordinates {field!r}") from None
     if not isinstance(items, (list, tuple, set)):
@@ -242,7 +285,7 @@ def _parse_answer_text(field: str, where: str) -> list[str]:
     if not field.startswith("["):
         return [field]
     try:
-        items = ast.literal_eval(field)
+        items = _parse_literal(field)
     except (ValueError, SyntaxError, TypeError):
         items = None
     if not isinstance(items, list):

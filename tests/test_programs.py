@@ -485,12 +485,13 @@ def _rows_of(answer):
 @settings(deadline=None, max_examples=80)
 @given(case=_group_cases(), data=st.data())
 def test_group_form_matches_step_and_the_oracle(case, data):
-    # the search rates a (parent, group) pair's children at once: a fixed
-    # condition's child keeps `P.condition_rows` of the condition's
-    # prepared mask, an OR child answers with the parent's base and a Stop
-    # child with its rows. Every child's rows must be those of `P.step` on a
-    # context that matches each condition itself, and the oracle's; every
-    # partial reward the Jaccard of that child's answer
+    # the search rates a parent's children by one group at once: every
+    # condition, in one group, in one pass of `P.condition_rows` over a
+    # fixed condition's prepared mask or the first of an extremum's value
+    # masks that meets the scope; an OR child answers with the parent's
+    # base and a Stop child with its rows. Every child's rows must be those
+    # of `P.step` on a context that matches each condition itself, and the
+    # oracle's; every partial reward the Jaccard of that child's answer
     table, question, prev, gold = case
     example = Example("s/0", 1, question, table.id, gold)
     config = SearchConfig(max_actions=6, max_conditions=3)
@@ -520,14 +521,17 @@ def test_group_form_matches_step_and_the_oracle(case, data):
                                                              a.kind == P.STOP), table, prev))
                       for a in g.actions]
             assert want == oracle, (actions, g.actions[0].kind)
-            if g.masks is not None:
-                assert P.condition_rows(phase, base, rows, g.masks) == want, \
-                    (actions, g.actions[0].kind)
-            elif g is s.or_:
+            rewards = [jaccard(P.answer(ctx, c), gold) for c in children]
+            assert s.rewards(hyp, g) == rewards, (actions, g.actions[0].kind)
+            if g is s.or_:
                 assert want == [base]
             elif g is s.stop:
                 assert want == [rows]
-            rewards = [jaccard(P.answer(ctx, c), gold) for c in children]
-            assert s.rewards(hyp, g, range(len(g.actions))) == rewards, \
-                (actions, g.actions[0].kind)
+            else:
+                # the condition group: every condition, kind by kind
+                assert sorted(g.actions, key=lambda a: P.CONDITION_KINDS.index(a.kind)) \
+                    == list(g.actions) and set(g.actions) == set(conditions)
+                answers = s.reward_lists[phase, base, rows, g][0]
+                assert answers == want, [(a, got, w) for a, got, w in
+                                         zip(g.actions, answers, want) if got != w]
     assert phases >= {"select", "followup", "cond", "or", "or_arm"}

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from denoparse import programs as P
 from denoparse.scorer import (ActionFeaturizer, ParamVector, action_features, featurize,
                               left_sum, score, softmax)
-from denoparse.search import action_dot
+from denoparse.critique import default_lexicon
+from denoparse.search import SearchConfig, action_dot, beam_search
 from denoparse.synth import SynthConfig, generate_corpus
 from denoparse.text import tokenize
 
@@ -170,6 +171,34 @@ def test_featurizer_parts_match_action_features(corpus_seed, position, doubled, 
     for a in actions:
         assert action_dot(featurizer, theta.weights, kind_sums, a) == \
             theta.dot(action_features(a, q, table))
+
+
+@settings(deadline=None, max_examples=40)
+@given(corpus_seed=st.integers(0, 10**6), index=st.integers(0, 8),
+       weight_seed=st.integers(0, 2**32 - 1), lam=st.sampled_from((0.0, 0.5, math.inf)),
+       shaping=st.booleans(), beam=st.integers(1, 8))
+def test_featurize_keeps_each_action_as_a_fresh_featurizer_builds_it(
+        corpus_seed, index, weight_seed, lam, shaping, beam):
+    # a featurizer keeps each action's ids and surface tokens the first time
+    # it builds them; the features of every candidate of a search, read
+    # from its featurizer once in order and once in reverse, must be a
+    # fresh featurizer's, key order included
+    corpus = generate_corpus(SynthConfig(sequences=3, seed=corpus_seed))
+    examples = [(ex, seq) for seq in corpus.sequences for ex in seq]
+    ex, seq = examples[index % len(examples)]
+    table = corpus.tables[ex.table_ref]
+    rng = random.Random(weight_seed)
+    theta = ParamVector({"recall": rng.uniform(-1, 1),
+                         **{f"act={k}": rng.uniform(-1, 1) for k in (P.SELECT, P.EQ, P.GT)}})
+    cfg = SearchConfig(beam_size=beam, max_actions=5, lambda_weight=lam,
+                       shaping_enabled=shaping)
+    K = beam_search(ex, table, theta, default_lexicon(), cfg,
+                    seq[ex.position - 1].gold_answer if ex.position else None)
+    assert K
+    for c in list(K) + list(K)[::-1]:
+        got = K.featurizer.featurize(c.program)
+        want = ActionFeaturizer(ex.question_tokens, table).featurize(c.program)
+        assert list(got.items()) == list(want.items()), c.serialization
 
 
 def test_dot_adds_left_to_right():

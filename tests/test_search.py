@@ -272,7 +272,7 @@ def test_narrow_beams_match_eager_reference():
 
 
 def test_bound_scan_matches_eager_reference():
-    # at finite lambda a search ranks, per (parent, group), only the
+    # at finite lambda a search ranks, per (parent, kind segment), only the
     # children whose bound can reach the beam_size-th best key so far; the
     # entries must stay the eager search's at every recall sign and
     # shaping sign, under all-tied scores (a child tied at the cut decides
@@ -305,8 +305,8 @@ def test_bound_scan_matches_eager_reference():
     shared_case = (ex, shared.tables[ex.table_ref], None)
     shaped = search._Search(*shared_case[:2], ParamVector(), lex,
                             SearchConfig(shaping_enabled=True, eta=5.0), None)
-    assert max(len(shaped.bounds(g)[0])
-               for groups in shaped.groups_of.values() for g in groups) > 1
+    assert max(len(buckets) for groups in shaped.groups_of.values() for g in groups
+               for buckets, _ in shaped.bounds(g)) > 1
     # the first two cases take turns by beam, which halves the eager searches
     runs = [(1, cases[1]), (2, cases[0]), (3, cases[1]), (8, cases[0]), (8, shared_case)]
     thetas = []
@@ -528,15 +528,17 @@ def test_reward_floor_ranks_fewer_children_at_lambda_inf():
 def test_ranking_steps_each_parent_rows_and_action_once(monkeypatch):
     # parents that differ only in head or condition count share their
     # children's rows, so ranking computes the child rows of each (phase,
-    # base, rows) and group at most once per search: a condition group's
-    # all at once through `P.condition_rows`, and each action of any other
-    # group through `P.step`. `resolve` steps a state's own rows the first
+    # base, rows) and group at most once per search: the one condition
+    # group's all at once through `P.condition_rows`, and each of the root's
+    # heads through `P.step`. `resolve` steps a state's own rows the first
     # time they are read, ranking's parents included, and `step` applies
     # `condition_rows` to the one action it steps, so neither counts
     ex, table, theta, prev = _followup_case()
+    cases = [(ex, table, prev)] + [(e, t, p) for e, t, p, _ in _fuzz_cases(3)]
     cfg = SearchConfig(beam_size=8, max_actions=5, lambda_weight=math.inf,
                        shaping_enabled=True)
-    want = beam_search(ex, table, theta, default_lexicon(), cfg, prev)
+    wants = [beam_search(ex, table, theta, default_lexicon(), cfg, prev)
+             for ex, table, prev in cases]
 
     ranking, grouped = [], []
     step, condition_rows = P.step, P.condition_rows
@@ -555,18 +557,34 @@ def test_ranking_steps_each_parent_rows_and_action_once(monkeypatch):
 
     def spy_rows(phase, base, rows, masks):
         if ranking_call():
-            # a group's masks live as long as the search, so their id
-            # names the group
-            grouped.append((phase, base, rows, id(masks)))
+            # only the condition group's rows come from here
+            grouped.append((phase, base, rows))
         return condition_rows(phase, base, rows, masks)
 
     monkeypatch.setattr(P, "step", spy_step)
+    requests = []
+    rewards = search._Search.rewards
+
+    def spy_rewards(self, hyp, g):
+        if g is self.groups_of[P.CONDITION][0]:
+            requests.append(hyp)
+        return rewards(self, hyp, g)
+
     monkeypatch.setattr(P, "condition_rows", spy_rows)
-    got = beam_search(ex, table, theta, default_lexicon(), cfg, prev)
-    assert len(ranking) > cfg.beam_size and len(grouped) > cfg.beam_size
-    assert len(ranking) == len(set(ranking))
-    assert len(grouped) == len(set(grouped))
-    assert got.entries == want.entries
+    monkeypatch.setattr(search._Search, "rewards", spy_rewards)
+    rated = 0
+    for (ex, table, prev), want in zip(cases, wants):
+        ranking.clear()
+        grouped.clear()
+        got = beam_search(ex, table, theta, default_lexicon(), cfg, prev)
+        assert got.entries == want.entries
+        # no condition is stepped to rate it, only the root's heads
+        assert ranking and {phase for phase, _, _, _ in ranking} == {"empty"}
+        assert len(ranking) == len(set(ranking))
+        assert len(grouped) == len(set(grouped))
+        rated += len(grouped)
+    # parents share their children's rows
+    assert len(cases) < rated < len(requests)
 
 
 def test_beam_search_calls_each_phase_once_per_step(monkeypatch):

@@ -1,4 +1,6 @@
+import ast
 import functools
+import gc
 import os
 import re
 import tempfile
@@ -6,6 +8,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from denoparse import tables
 from denoparse.synth import SynthConfig, generate_corpus, write_corpus
 from denoparse.tables import (AnswerSet, Cell, IngestionError, exact_match,
                               jaccard, load_dataset, load_table, write_dataset,
@@ -245,6 +248,43 @@ def test_bad_coordinate_names_the_line(tmp_path, coords):
     load = _load_rows(tmp_path, f"q\t0\t0\twho?\tt0.csv\t{coords}\t['Ada']\n")
     with pytest.raises(IngestionError, match=r"questions\.tsv:2: bad coordinate"):
         load()
+
+
+def test_parsing_fields_leaves_no_reference_cycle():
+    # a reference cycle per question row holds memory until a full
+    # collection, so peak memory would depend on when one runs
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(100):
+            assert tables._parse_coords(f"['({i}, 0)', '(1, {i})']", "q:2") == \
+                {(i, 0), (1, i)}
+            assert tables._parse_answer_text(f"['Ada', '{i}']", "q:2") == ["Ada", str(i)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+_LITERALS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
+    | st.complex_numbers(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.frozensets(st.integers() | st.text()).map(set)
+    | st.dictionaries(st.integers() | st.text(), inner))
+
+
+@given(st.one_of(_LITERALS.map(repr), st.sampled_from([
+    "-1", "+2.5", "1+2j", "-1-2j", "1+2", "set()", "set([1])", "{**a}", "{[1]: 2}",
+    "{[1]}", "not 1", "x", "(1,)", "[", "['Ada'", "'(0, 1)'", "1 if 2 else 3"])))
+def test_field_literals_are_those_of_literal_eval(text):
+    def read(parse):
+        try:
+            return parse(text)
+        except (ValueError, SyntaxError, TypeError) as e:
+            return type(e)
+    want = read(ast.literal_eval)
+    got = read(tables._parse_literal)
+    assert got == want and type(got) is type(want)
 
 
 def test_row_shorter_than_the_header_names_the_line(tmp_path):
